@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -27,7 +27,6 @@ from .errors import (
     NotAWSO,
     ParseError,
     RoleCountMismatch,
-    UnknownName,
 )
 from .program import Program, initial_configuration
 from .terms import Address, AddressAllocator

@@ -1,4 +1,5 @@
-"""Rule enumeration, schedulers, runs, and exhaustive exploration.
+"""Rule enumeration, schedulers, runs, and the one search kernel behind
+exhaustive exploration.
 
 A run repeatedly asks enabled_rules for every instance whose side
 conditions hold, lets the scheduler pick one, and applies it.  All state
@@ -9,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import rules
 from . import syntax as ast
-from .errors import AbwsclError
+from .errors import AbwsclError, SilentDivergence
 from .program import Program, eval_in_state, guard_accepts
 from .terms import (
     Address,
@@ -31,9 +32,11 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    """One applicable rewrite: which rule, where, consuming what."""
+class RuleInstance(NamedTuple):
+    """One applicable rewrite: which rule, where, consuming what.
+
+    A named tuple, so instances order by (rule id, site, payload) as they
+    are, and a state with many pending messages builds them cheaply."""
 
     rule_id: str
     site: str
@@ -105,16 +108,9 @@ class Trace:
 # -- enumeration --------------------------------------------------------------
 
 
-def _ready_signal_present(config: Configuration, actor) -> bool:
-    want = EventMessage(
-        dest=actor.tau, src=actor.addr, event=Event.READY, value=Record.of()
-    )
-    return want in config.top.events
-
-
 def _deliverable(program: Program, config: Configuration, am: AppMessage) -> bool:
     actor = config.top.actor(am.dest)
-    if actor is None or not _ready_signal_present(config, actor):
+    if actor is None or rules._ready_signal(actor) not in config.top.events:
         return False
     method = am.method
     if method is None:
@@ -146,11 +142,11 @@ def enabled_rules(
     """Every rule instance whose side conditions hold, in a deterministic
     order (rule id, then site, then consumed payload)."""
     top = config.top
-    mem = members(top)
     insts: List[RuleInstance] = []
 
+    running = ProcessingState.RUNNING
     for a in top.actors:
-        if a.p is not ProcessingState.RUNNING:
+        if a.p is not running:
             continue
         queue = a.state.queue
         if not queue or isinstance(queue[0], (ast.SendAct, ast.SetPartnerCall)):
@@ -186,24 +182,9 @@ def enabled_rules(
             call = ev.value.get("call") if isinstance(ev.value, Record) else None
             if not isinstance(dest, Address) or not isinstance(call, Record):
                 continue
-            sender = top.actor(ev.src)
-            target = top.actor(dest)
-            if (
-                sender is not None
-                and target is not None
-                and sender.kind == "AA"
-                and target.kind == "AA"
-            ):
-                same = (
-                    sender.links.owner_wso is not None
-                    and sender.links.owner_wso == target.links.owner_wso
-                    and sender.links.interface_ws == target.links.interface_ws
-                )
-                if same:
-                    insts.append(RuleInstance("SendIn", ev.dest.id, ev.canon()))
-                # cross-service activity pairs stay stuck: no instance
-            else:
-                insts.append(RuleInstance("SendOut", ev.dest.id, ev.canon()))
+            route = rules.send_route(top, ev.src, dest)
+            if route is not None:
+                insts.append(RuleInstance(route, ev.dest.id, ev.canon()))
         elif ev.event in (Event.COMPLETE, Event.DELIVER):
             t = top.actor(ev.dest)
             if (
@@ -213,20 +194,30 @@ def enabled_rules(
             ):
                 insts.append(RuleInstance("Compute", ev.dest.id, ev.canon()))
 
+    # equal addresses share their id, so an id outside the members rules
+    # an address out without hashing the address itself
+    mem_ids = {a.addr.id for a in top.actors}
+    out = None
     for am in top.apps:
-        if am.dest in mem:
+        dest, text = am.dest, am.canon()
+        if out is not None and out.payload == text and out.site == dest.id:
+            insts.append(out)  # another copy of the message before it
+            continue
+        out = None
+        if dest.id in mem_ids and dest in members(top):
             if _deliverable(program, config, am):
                 rid = "SetPartner" if am.method == "setPartner" else "ReadyDeliver"
-                insts.append(RuleInstance(rid, am.dest.id, am.canon()))
+                insts.append(RuleInstance(rid, dest.id, text))
         else:
-            insts.append(RuleInstance("Out", am.dest.id, am.canon()))
+            out = RuleInstance("Out", dest.id, text)
+            insts.append(out)
 
     recep = receptionists(top)
     for f in feeds:
         if f.dest in recep:
             insts.append(RuleInstance("In", f.dest.id, f.canon()))
 
-    return tuple(sorted(insts, key=lambda i: i.key))
+    return tuple(sorted(insts))
 
 
 # -- application ---------------------------------------------------------------
@@ -355,7 +346,53 @@ class Exhaustive:
         return instances[0]
 
 
+# -- search --------------------------------------------------------------------
+
+
+def search(start, key, successors, *, phase, depth, budget=None, lifo=False, stop=None):
+    """Best-first walk over a graph whose edges cost 0 or 1.
+
+    successors(node, cost) yields (next node, its cost) for every edge
+    within the caller's depth bound, recording whatever the caller needs.
+    A node is pushed only when its key is new or reached more cheaply,
+    and a popped node that has been reached more cheaply since is
+    skipped.  FIFO order is 0-1 breadth-first (zero-cost moves go to the
+    front); LIFO order is depth-first.  The walk ends when the frontier
+    is empty or stop() holds.  Returns the number of nodes expanded;
+    expanding more than `budget` raises SilentDivergence.
+    """
+    k0 = key(start)
+    best = {k0: 0}
+    frontier = deque([(start, 0, k0)])
+    expanded = 0
+    while frontier and not (stop is not None and stop()):
+        node, cost, k = frontier.pop() if lifo else frontier.popleft()
+        if best[k] < cost:
+            continue
+        expanded += 1
+        if budget is not None and expanded > budget:
+            raise SilentDivergence(
+                f"{phase}: more than {budget} states within depth {depth}"
+            )
+        for nxt, c2 in successors(node, cost):
+            k2 = key(nxt)
+            if best.get(k2, c2 + 1) <= c2:
+                continue
+            best[k2] = c2
+            if lifo or c2 != cost:
+                frontier.append((nxt, c2, k2))
+            else:
+                frontier.appendleft((nxt, c2, k2))
+    return expanded
+
+
 # -- driving -------------------------------------------------------------------
+
+
+def _without_feed(feeds: Tuple[AppMessage, ...], inst: RuleInstance) -> Tuple[AppMessage, ...]:
+    """The feeds left once an In instance has taken its message."""
+    i = next(i for i, f in enumerate(feeds) if f.canon() == inst.payload)
+    return feeds[:i] + feeds[i + 1 :]
 
 
 def run(
@@ -380,7 +417,7 @@ def run(
         alloc = AddressAllocator().advance_past(
             a.addr.id for a in config.top.actors
         )
-    remaining: List[AppMessage] = list(feeds)
+    remaining = tuple(feeds)
     steps: List[StepRecord] = []
     cur = config
     quiescent = False
@@ -394,10 +431,7 @@ def run(
             program, cur, inst, alloc, feeds=remaining
         )
         if inst.rule_id == "In":
-            for i, f in enumerate(remaining):
-                if f.canon() == inst.payload:
-                    del remaining[i]
-                    break
+            remaining = _without_feed(remaining, inst)
         steps.append(StepRecord(inst, produced, artifacts, cur))
     if not quiescent:
         quiescent = not enabled_rules(program, cur, feeds=remaining)
@@ -426,38 +460,29 @@ def explore(
         alloc = AddressAllocator().advance_past(
             a.addr.id for a in config.top.actors
         )
-    start = (config, tuple(feeds), (), 0)
-    seen = set()
     configs = set()
     labels_seen = set()
-    queue = deque([start])
-    while queue:
-        cfg, fds, labels, used = queue.popleft()
-        key = (cfg.canon(), tuple(f.canon() for f in fds), labels)
-        if key in seen:
-            continue
-        seen.add(key)
+
+    def successors(node, used):
+        cfg, fds, labels = node
         configs.add(cfg.canon())
         labels_seen.add(labels)
         if used >= depth:
-            continue
+            return
         for inst in enabled_rules(program, cfg, feeds=fds):
             cfg2, _produced, artifacts = apply_instance(
                 program, cfg, inst, alloc.clone(), feeds=fds
             )
-            fds2 = fds
+            fds2 = _without_feed(fds, inst) if inst.rule_id == "In" else fds
             labels2 = labels
-            if inst.rule_id == "In":
-                kept = list(fds)
-                for i, f in enumerate(kept):
-                    if f.canon() == inst.payload:
-                        del kept[i]
-                        break
-                fds2 = tuple(kept)
             if inst.rule_id in ("Out", "In"):
-                for a in artifacts:
-                    if isinstance(a, AppMessage):
-                        direction = "out" if inst.rule_id == "Out" else "in"
-                        labels2 = labels2 + ((direction, a.method or "?"),)
-            queue.append((cfg2, fds2, labels2, used + 1))
+                direction = "out" if inst.rule_id == "Out" else "in"
+                labels2 += ((direction, artifacts[0].method or "?"),)
+            yield (cfg2, fds2, labels2), used + 1
+
+    def key(node):
+        cfg, fds, labels = node
+        return (cfg.canon(), tuple(f.canon() for f in fds), labels)
+
+    search((config, tuple(feeds), ()), key, successors, phase="explore", depth=depth)
     return frozenset(configs), frozenset(labels_seen)

@@ -25,19 +25,18 @@ silently, once each, so the conversation is self-contained.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import rules
 from . import syntax as ast
-from .engine import RuleInstance, StepRecord, apply_instance, enabled_rules
+from .engine import apply_instance, enabled_rules, search
 from .errors import (
     BoundaryMismatch,
     NotABoundaryEvent,
     NotAWS,
     NotAWSO,
-    SilentDivergence,
     UnknownName,
 )
 from .program import _DEFAULTS, Program, instantiate
@@ -47,7 +46,6 @@ from .terms import (
     AppMessage,
     Configuration,
     Event,
-    EventMessage,
     Fragment,
     Links,
     ProcessingState,
@@ -142,7 +140,9 @@ class InteractionStep:
         return self.label()
 
 
+@lru_cache(maxsize=None)
 def silent(boundary: str) -> InteractionStep:
+    # steps are immutable, so each boundary shares one silent marker
     return InteractionStep(boundary=boundary, shape="silent")
 
 
@@ -217,29 +217,6 @@ class PartialConfiguration:
 # -- step classification -------------------------------------------------------
 
 
-def label_step(pc: PartialConfiguration, item) -> InteractionStep:
-    """Classify one engine step or message against this boundary.
-
-    Rewrites inside the fragment are silent.  A message with one endpoint
-    inside and one outside is an emit or consume; both endpoints on the
-    same side of the line is not a boundary event.
-    """
-    if isinstance(item, StepRecord):
-        if item.instance.rule_id in ("In", "Out") and item.artifacts:
-            return label_step(pc, item.artifacts[0])
-        return silent(pc.boundary)
-    if isinstance(item, RuleInstance):
-        if item.rule_id in ("In", "Out"):
-            raise NotABoundaryEvent(
-                "a boundary instance names its message by canon only; "
-                "classify the message or the step record instead"
-            )
-        return silent(pc.boundary)
-    if isinstance(item, (AppMessage, EventMessage)):
-        return _classify_message(pc, item)
-    raise NotABoundaryEvent(f"cannot classify {item!r}")
-
-
 def _substitute(pc: PartialConfiguration, far: Optional[Address]) -> Optional[Address]:
     # the gate stands in for the peer in label slots
     if far is not None and far == pc.gate:
@@ -304,8 +281,7 @@ def _sends_toward(d: ast.BehaviorDefinition, link_names: Sequence[str]) -> Tuple
     in first-send order, deduplicated."""
     targets = set(link_names)
     seen: List[str] = []
-    bodies = ([d.init] if d.init else []) + list(d.methods)
-    for m in bodies:
+    for m in d.bodies():
         for act in m.body:
             if isinstance(act, ast.SendAct) and act.target in targets:
                 if act.method not in seen:
@@ -335,8 +311,7 @@ def _creator_ws(program: Program, wso_name: str) -> ast.BehaviorDefinition:
     for d in program.defs:
         if d.kind != "WS":
             continue
-        bodies = ([d.init] if d.init else []) + list(d.methods)
-        for m in bodies:
+        for m in d.bodies():
             for act in m.body:
                 if isinstance(act, ast.CreateAct) and act.behavior == wso_name:
                     return d
@@ -344,9 +319,7 @@ def _creator_ws(program: Program, wso_name: str) -> ast.BehaviorDefinition:
 
 
 def _wso_of(program: Program, ws_name: str) -> Optional[str]:
-    d = program.definition(ws_name)
-    bodies = ([d.init] if d.init else []) + list(d.methods)
-    for m in bodies:
+    for m in program.definition(ws_name).bodies():
         for act in m.body:
             if isinstance(act, ast.CreateAct) and program.has(act.behavior):
                 if program.definition(act.behavior).kind == "WSO":
@@ -358,12 +331,12 @@ def _partner_of(program: Program, ws_name: str) -> Optional[str]:
     for d in program.defs:
         if d.kind != "WSC":
             continue
-        created = []
-        bodies = ([d.init] if d.init else []) + list(d.methods)
-        for m in bodies:
-            for act in m.body:
-                if isinstance(act, ast.CreateAct):
-                    created.append(act.behavior)
+        created = [
+            act.behavior
+            for m in d.bodies()
+            for act in m.body
+            if isinstance(act, ast.CreateAct)
+        ]
         if ws_name in created:
             others = [c for c in created if c != ws_name]
             if others:
@@ -393,10 +366,8 @@ def wso_side(
     anchor = Address(wso_name, "WSO")
     gate = Address(ws_def.name, "WS")
     alloc = AddressAllocator()
-    args: List[Value] = []
-    if d.init:
-        for ptype, _pname in d.init.params:
-            args.append(gate if ptype == "WS" else _DEFAULTS.get(ptype))
+    params = d.init.params if d.init else ()
+    args = [gate if ptype == "WS" else _DEFAULTS.get(ptype) for ptype, _pname in params]
     actor = instantiate(program, wso_name, args, alloc, addr=anchor)
     events = (rules._ready_signal(actor),) if actor.p is ProcessingState.READY else ()
     fragment = restrict(Fragment.make(actors=(actor,), events=events), {anchor})
@@ -440,43 +411,29 @@ def ws_side(
     owner = Address(wso_name or f"{ws_name}-owner", "WSO")
     partner = Address(partner_name or f"{ws_name}-partner", "WS")
     alloc = AddressAllocator()
-    args: List[Value] = []
-    if d.init:
-        args = [_DEFAULTS.get(ptype) for ptype, _pname in d.init.params]
+    args = [_DEFAULTS.get(ptype) for ptype, _pname in (d.init.params if d.init else ())]
     actor = instantiate(program, ws_name, args, alloc, addr=anchor)
     # creation and wiring happened elsewhere: drop the birth body and
     # hand the service its references ready-made
-    actor = dataclasses.replace(
-        actor,
-        p=ProcessingState.READY,
-        last_signal=Event.READY,
-        state=actor.state.with_queue(()),
-        links=Links("WS", owner_wso=owner, partner_ws=partner),
-    )
+    actor = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY,
+                         state=actor.state.with_queue(()),
+                         links=Links("WS", owner_wso=owner, partner_ws=partner))
     fragment = restrict(
         Fragment.make(actors=(actor,), events=(rules._ready_signal(actor),)),
         {anchor},
     )
-    wso_def = program.definition(wso_name) if wso_name else None
-    partner_def = program.definition(partner_name) if partner_name else None
-    peer_feeds: Tuple[AppMessage, ...] = ()
-    env_feeds: Tuple[AppMessage, ...] = ()
-    if facing == "wso":
-        gate = owner
-        if wso_def is not None:
-            peer_feeds = _feed_calls(wso_def, _link_names(wso_def, "WS"), d, anchor, gate)
-        if partner_def is not None:
-            env_feeds = _feed_calls(
-                partner_def, _link_names(partner_def, "WS"), d, anchor, partner
-            )
-    else:
-        gate = partner
-        if partner_def is not None:
-            peer_feeds = _feed_calls(
-                partner_def, _link_names(partner_def, "WS"), d, anchor, gate
-            )
-        if wso_def is not None:
-            env_feeds = _feed_calls(wso_def, _link_names(wso_def, "WS"), d, anchor, owner)
+
+    def calls_from(name: Optional[str], src: Address) -> Tuple[AppMessage, ...]:
+        if not name:
+            return ()
+        sender = program.definition(name)
+        return _feed_calls(sender, _link_names(sender, "WS"), d, anchor, src)
+
+    from_wso, from_partner = calls_from(wso_name, owner), calls_from(partner_name, partner)
+    gate = owner if facing == "wso" else partner
+    peer_feeds, env_feeds = (
+        (from_wso, from_partner) if facing == "wso" else (from_partner, from_wso)
+    )
     return PartialConfiguration(
         program=program,
         config=Configuration(fragment),
@@ -532,8 +489,11 @@ def _ample(pc: PartialConfiguration, config, insts):
     with the rest of the configuration; running the first such instance
     alone reaches the same visible behaviour as fanning out.  Delivery
     choices and observable ejections stay branching."""
-    apps = None
+    apps, prev = None, None
     for inst in insts:
+        if inst == prev:
+            continue  # a duplicate message: judged just before, and refused
+        prev = inst
         if inst.rule_id in _COMMUTING:
             return inst
         if apps is None:
@@ -617,32 +577,25 @@ def interaction_semantics(
     Runs of internal work compress to a single silent marker before the
     next visible step; a sequence never ends on a marker.
     """
-    config0, env0, alloc0 = _start(pc)
     found: Set[Tuple[InteractionStep, ...]] = {()}
-    seen: Set[Tuple] = set()
-    queue = deque([(config0, env0, alloc0, (), False)])
-    visits = 0
-    while queue:
-        config, env_left, alloc, steps, quiet = queue.popleft()
-        key = (_state_key(config, env_left), steps, quiet)
-        if key in seen:
-            continue
-        seen.add(key)
-        visits += 1
-        if visits > max_states:
-            raise SilentDivergence(
-                f"more than {max_states} states within depth {depth}"
-            )
+
+    def successors(node, visible):
+        config, env_left, alloc, steps, quiet = node
         moves, _det = _edges(pc, config, env_left, alloc, reduced=False)
         for step, _am, nxt, env2, a2 in moves:
-            if step.visible:
-                if sum(1 for s in steps if s.visible) >= depth:
-                    continue
+            if not step.visible:
+                yield (nxt, env2, a2, steps, True), visible
+            elif visible < depth:
                 steps2 = steps + ((silent(pc.boundary),) if quiet else ()) + (step,)
                 found.add(steps2)
-                queue.append((nxt, env2, a2, steps2, False))
-            else:
-                queue.append((nxt, env2, a2, steps, True))
+                yield (nxt, env2, a2, steps2, False), visible + 1
+
+    search(
+        _start(pc) + ((), False),
+        lambda n: (_state_key(n[0], n[1]), n[3], n[4]),
+        successors,
+        phase="semantics", depth=depth, budget=max_states,
+    )
     return frozenset(InteractionSequence(s) for s in found)
 
 
@@ -655,64 +608,50 @@ def admits_sequence(
     """Whether the side can produce exactly these visible steps, in
     order, with any amount of internal work in between."""
     want = [s.key() for s in seq if s.visible]
-    config0, env0, alloc0 = _start(pc)
-    seen: Set[Tuple] = set()
-    queue = deque([(config0, env0, alloc0, 0)])
-    visits = 0
-    while queue:
-        config, env_left, alloc, idx = queue.popleft()
-        if idx == len(want):
-            return True
-        key = (_state_key(config, env_left), idx)
-        if key in seen:
-            continue
-        seen.add(key)
-        visits += 1
-        if visits > max_states:
-            raise SilentDivergence(f"more than {max_states} states explored")
+    done = not want
+
+    def successors(node, idx):
+        nonlocal done
+        config, env_left, alloc, _idx = node
         moves, _det = _edges(pc, config, env_left, alloc)
         for step, _am, nxt, env2, a2 in moves:
-            if step.visible:
-                if step.key() == want[idx]:
-                    queue.append((nxt, env2, a2, idx + 1))
-            else:
-                queue.append((nxt, env2, a2, idx))
-    return False
+            if not step.visible:
+                yield (nxt, env2, a2, idx), idx
+            elif step.key() == want[idx]:
+                done = done or idx + 1 == len(want)
+                yield (nxt, env2, a2, idx + 1), idx + 1
+
+    search(
+        _start(pc) + (0,),
+        lambda n: (_state_key(n[0], n[1]), n[3]),
+        successors,
+        phase="admits", depth=len(want), budget=max_states, stop=lambda: done,
+    )
+    return done
 
 
 def _solo_labels(
     pc: PartialConfiguration, depth: int, *, max_states: int = _MAX_STATES
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
     """Visible step keys reachable alone within depth, and states seen."""
-    config0, env0, alloc0 = _start(pc)
     labels: Set[Tuple[str, str]] = set()
-    best: Dict[Tuple, int] = {_state_key(config0, env0): 0}
-    queue = deque([(config0, env0, alloc0, 0)])
-    visits = 0
-    while queue:
-        config, env_left, alloc, count = queue.popleft()
-        if best.get(_state_key(config, env_left), depth + 1) < count:
-            continue
-        visits += 1
-        if visits > max_states:
-            raise SilentDivergence(f"more than {max_states} states within depth {depth}")
+
+    def successors(node, count):
+        config, env_left, alloc = node
         moves, _det = _edges(pc, config, env_left, alloc)
         for step, _am, nxt, env2, a2 in moves:
-            if step.visible:
-                if count >= depth:
-                    continue
+            if not step.visible:
+                yield (nxt, env2, a2), count
+            elif count < depth:
                 labels.add(step.key())
-                c2 = count + 1
-            else:
-                c2 = count
-            k2 = _state_key(nxt, env2)
-            if best.get(k2, depth + 1) <= c2:
-                continue
-            best[k2] = c2
-            if c2 == count:
-                queue.appendleft((nxt, env2, a2, c2))
-            else:
-                queue.append((nxt, env2, a2, c2))
+                yield (nxt, env2, a2), count + 1
+
+    visits = search(
+        _start(pc),
+        lambda n: _state_key(n[0], n[1]),
+        successors,
+        phase=f"solo {pc.behavior}", depth=depth, budget=max_states,
+    )
     return frozenset(labels), visits
 
 
@@ -807,14 +746,16 @@ def _product_key(state) -> Tuple:
     return (cfg_a.canon(), cfg_m.canon(), env_a, env_m, _bag_key(bag_am), _bag_key(bag_ma))
 
 
+def _product_start(pc_a, pc_m):
+    config_a, env_a, alloc_a = _start(pc_a)
+    config_m, env_m, alloc_m = _start(pc_m)
+    return (config_a, config_m, env_a, env_m, (), (), alloc_a, alloc_m)
+
+
 def _greedy_witness(pc_a, pc_m, depth, side, missing_step, *, max_states):
     """A deterministic product run projected on the failing side, with
     the unmatched step appended."""
-    state = (
-        pc_a.config, pc_m.config,
-        frozenset(range(len(pc_a.env_feeds))), frozenset(range(len(pc_m.env_feeds))),
-        (), (), pc_a.alloc.clone(), pc_m.alloc.clone(),
-    )
+    state = _product_start(pc_a, pc_m)
     history: List[Tuple[str, InteractionStep]] = []
     pc_fail = pc_a if side == "A" else pc_m
     for _ in range(max_states):
@@ -869,40 +810,24 @@ def compatible(
     got_a: Set[Tuple[str, str]] = set()
     got_m: Set[Tuple[str, str]] = set()
 
-    start = (
-        pc_a.config, pc_m.config,
-        frozenset(range(len(pc_a.env_feeds))), frozenset(range(len(pc_m.env_feeds))),
-        (), (), pc_a.alloc.clone(), pc_m.alloc.clone(),
-    )
-    best: Dict[Tuple, int] = {_product_key(start): 0}
-    stack: List[Tuple] = [(start, 0)]
-    explored = 0
-    covered = req_a <= got_a and req_m <= got_m
-    # depth-first so a full conversation is walked before its variants
-    while stack and not covered:
-        state, count = stack.pop()
-        if best.get(_product_key(state), depth + 1) < count:
-            continue
-        explored += 1
-        if explored > max_states:
-            raise SilentDivergence(f"more than {max_states} product states")
+    def successors(state, count):
         for tag, step, nxt in _product_edges(pc_a, pc_m, state):
-            if step.visible:
-                if count >= depth:
-                    continue
+            if not step.visible:
+                yield nxt, count
+            elif count < depth:
                 (got_a if tag == "A" else got_m).add(step.key())
-                c2 = count + 1
-            else:
-                c2 = count
-            k2 = _product_key(nxt)
-            if best.get(k2, depth + 1) <= c2:
-                continue
-            best[k2] = c2
-            stack.append((nxt, c2))
-        if req_a <= got_a and req_m <= got_m:
-            covered = True
+                yield nxt, count + 1
+
+    def covered():
+        return req_a <= got_a and req_m <= got_m
+
+    # depth-first so a full conversation is walked before its variants
+    explored = search(
+        _product_start(pc_a, pc_m), _product_key, successors,
+        phase="product", depth=depth, budget=max_states, lifo=True, stop=covered,
+    )
     explored += n_a + n_m
-    if covered:
+    if covered():
         return Compatibility(ok=True, depth=depth, explored=explored)
     missing = sorted(
         [("A", shape, text) for shape, text in req_a - got_a]

@@ -104,13 +104,6 @@ class Program:
     def validate(self) -> Tuple[Diagnostic, ...]:
         return validate(self.defs)
 
-    def with_definition(self, d: ast.BehaviorDefinition) -> "Program":
-        """A copy where `d` replaces (or extends) the definition of its name."""
-        defs = [d if old.name == d.name else old for old in self.defs]
-        if d.name not in self.by_name:
-            defs.append(d)
-        return Program(defs)
-
 
 # -- state access ------------------------------------------------------------
 
@@ -124,8 +117,7 @@ def _plain_names(d: ast.BehaviorDefinition) -> Dict[str, Value]:
             names[l.name] = None
     for v in d.variables:
         names[v.name] = _DEFAULTS.get(v.type)
-    methods = list(d.methods) + ([d.init] if d.init else [])
-    for m in methods:
+    for m in d.bodies():
         for a in m.body:
             if isinstance(a, ast.CreateAct) and a.bind_to not in slots:
                 names.setdefault(a.bind_to, None)
@@ -140,10 +132,6 @@ def actor_env(program: Program, actor: ActorTerm) -> ast.Env:
     return ast.Env(actor.addr, (dict(actor.state.vars), links_view))
 
 
-def read_name(program: Program, actor: ActorTerm, name: str) -> Value:
-    return actor_env(program, actor).lookup(name)
-
-
 def write_name(program: Program, actor: ActorTerm, name: str, value: Value) -> ActorTerm:
     d = program.definition(actor.behavior)
     slots = link_slots(d)
@@ -151,10 +139,10 @@ def write_name(program: Program, actor: ActorTerm, name: str, value: Value) -> A
         if value is not None and not isinstance(value, Address):
             raise UnknownName(f"{name!r} holds an actor reference, not {value!r}")
         links = dataclasses.replace(actor.links, **{slots[name]: value})
-        return dataclasses.replace(actor, links=links)
+        return actor.evolve(links=links)
     if not actor.state.has(name):
         raise UnknownName(f"{actor.behavior} has no name {name!r}")
-    return dataclasses.replace(actor, state=actor.state.set(name, value))
+    return actor.evolve(state=actor.state.set(name, value))
 
 
 def eval_in_state(program: Program, actor: ActorTerm, expr: ast.Expr) -> Value:
@@ -181,7 +169,7 @@ def absorb(program: Program, actor: ActorTerm) -> ActorTerm:
                                eval_in_state(program, actor, head.expr))
         # OpaqueLocal: no effect by construction
         queue = queue[1:]
-        actor = dataclasses.replace(actor, state=actor.state.with_queue(queue))
+        actor = actor.evolve(state=actor.state.with_queue(queue))
         queue = actor.state.queue
     return actor
 
@@ -224,14 +212,12 @@ def instantiate(
     )
     if d.init:
         for (_ptype, pname), v in zip(d.init.params, args):
-            actor = dataclasses.replace(actor, state=actor.state.set(pname, v))
+            actor = actor.evolve(state=actor.state.set(pname, v))
     actor = absorb(program, actor)
     if tau is None and d.kind == "AA" and actor.links.owner_wso is not None:
-        actor = dataclasses.replace(actor, tau=actor.links.owner_wso)
+        actor = actor.evolve(tau=actor.links.owner_wso)
     if not actor.state.queue:
-        actor = dataclasses.replace(
-            actor, p=ProcessingState.READY, last_signal=Event.READY
-        )
+        actor = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY)
     return actor
 
 
@@ -254,11 +240,7 @@ def load_method(
     state = actor.state
     for (_ptype, pname), v in zip(m.params, args):
         state = state.set(pname, v)
-    actor = dataclasses.replace(
-        actor,
-        p=ProcessingState.RUNNING,
-        state=state.with_queue(tuple(m.body)),
-    )
+    actor = actor.evolve(p=ProcessingState.RUNNING, state=state.with_queue(tuple(m.body)))
     return absorb(program, actor)
 
 
@@ -275,10 +257,12 @@ def guard_accepts(
             f"{actor.behavior}.{method_name} takes {len(m.params)} argument(s), "
             f"got {len(args)}"
         )
-    probe = actor
+    if isinstance(m.guard, ast.Lit) and m.guard.value is True:
+        return True  # the default guard: nothing to evaluate
+    state = actor.state
     for (_ptype, pname), v in zip(m.params, args):
-        probe = dataclasses.replace(probe, state=probe.state.set(pname, v))
-    value = eval_in_state(program, probe, m.guard)
+        state = state.set(pname, v)
+    value = eval_in_state(program, actor.evolve(state=state), m.guard)
     if not isinstance(value, bool):
         from .errors import EvalTypeError
 

@@ -23,6 +23,7 @@ and of one delivery:
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import syntax as ast
@@ -90,7 +91,7 @@ def _without(seq: tuple, item) -> tuple:
     out: List = []
     dropped = False
     for x in seq:
-        if not dropped and x == item:
+        if not dropped and (x is item or x == item):
             dropped = True
             continue
         out.append(x)
@@ -119,11 +120,20 @@ def _rebuild(
 
 
 def _swap_actor(actors: tuple, new: ActorTerm) -> tuple:
-    return tuple(new if a.addr == new.addr else a for a in actors)
+    addr = new.addr
+    # equal addresses share their id; comparing it first is cheap
+    return tuple(new if a.addr.id == addr.id and a.addr == addr else a for a in actors)
 
 
 def _ready_signal(a: ActorTerm) -> EventMessage:
-    return EventMessage(dest=a.tau, src=a.addr, event=Event.READY, value=Record.of())
+    return _ready_from(a.tau, a.addr)
+
+
+@lru_cache(maxsize=4096)
+def _ready_from(tau: Address, addr: Address) -> EventMessage:
+    # messages are immutable, so each pair shares one ready signal, and a
+    # membership test finds the pending one by identity
+    return EventMessage(dest=tau, src=addr, event=Event.READY, value=Record.of())
 
 
 # -- generic computation: request and compute --------------------------------
@@ -144,9 +154,7 @@ def step_request(
     queue = actor.state.queue
     if not queue:
         signal = _ready_signal(actor)
-        new = dataclasses.replace(
-            actor, p=ProcessingState.READY, last_signal=Event.READY
-        )
+        new = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY)
     else:
         head = queue[0]
         if isinstance(head, ast.CreateAct):
@@ -172,8 +180,7 @@ def step_request(
             event=Event.TRANSMIT,
             value=Record.of(dest=target, call=call_record(method, args)),
         )
-        new = dataclasses.replace(
-            actor,
+        new = actor.evolve(
             p=ProcessingState.READY,
             last_signal=Event.TRANSMIT,
             state=actor.state.with_queue(queue[1:]),
@@ -217,9 +224,7 @@ def step_compute(
                 f"({actor.last_signal}, {notification.event}) not in the block relation"
             )
     if notification.event is Event.COMPLETE:
-        new = absorb(
-            program, dataclasses.replace(actor, p=ProcessingState.RUNNING)
-        )
+        new = absorb(program, actor.evolve(p=ProcessingState.RUNNING))
     else:  # deliver
         value = notification.value
         method = value.get("method") if isinstance(value, Record) else None
@@ -254,18 +259,22 @@ def _signal_parts(config: Configuration, em: EventMessage):
     return dest, call
 
 
-def is_sibling_send(config: Configuration, em: EventMessage) -> bool:
-    """True when the transmit is between two AAs of one WSO (the send-in
-    shape); everything else goes through aa_send_out."""
-    dest, _call = _signal_parts(config, em)
-    sender = config.top.actor(em.src)
-    target = config.top.actor(dest)
-    return (
-        sender is not None
-        and target is not None
-        and sender.kind == "AA"
-        and target.kind == "AA"
-    )
+def send_route(top: Fragment, src: Address, dest: Address) -> Optional[str]:
+    """The rule that routes a transmit from src to dest: "SendIn" between
+    sibling AAs (same owner, same interface), "SendOut" unless both ends
+    are AAs, and None between AAs of different services, whose sends
+    stay stuck."""
+    sender = top.actor(src)
+    target = top.actor(dest)
+    if sender is None or target is None or sender.kind != "AA" or target.kind != "AA":
+        return "SendOut"
+    if (
+        sender.links.owner_wso is not None
+        and sender.links.owner_wso == target.links.owner_wso
+        and sender.links.interface_ws == target.links.interface_ws
+    ):
+        return "SendIn"
+    return None
 
 
 def _route(
@@ -292,18 +301,13 @@ def aa_send_in(
     the sibling and completes the sender.
     """
     dest, call = _signal_parts(config, em)
-    sender = _get_actor(config, em.src)
-    target = config.top.actor(dest)
-    if target is None or target.kind != "AA" or sender.kind != "AA":
+    _get_actor(config, em.src)  # a missing sender is UnknownActor
+    route = send_route(config.top, em.src, dest)
+    if route == "SendOut":
         raise UnknownTarget(
             f"send-in routes AA-to-AA sends only, not {em.canon()}"
         )
-    same_wso = (
-        sender.links.owner_wso is not None
-        and sender.links.owner_wso == target.links.owner_wso
-    )
-    same_ws = sender.links.interface_ws == target.links.interface_ws
-    if not (same_wso and same_ws):
+    if route is None:
         raise NotSameWSO(
             f"{em.src.canon()} and {dest.canon()} belong to different services"
         )
@@ -318,9 +322,9 @@ def aa_send_out(
     sender.  Whether the message later leaves the fragment is [out]'s
     decision, keyed on membership."""
     dest, call = _signal_parts(config, em)
-    if is_sibling_send(config, em):
+    if send_route(config.top, em.src, dest) != "SendOut":
         raise TargetIsLocal(
-            f"{dest.canon()} is a sibling activity; route via send-in"
+            f"{dest.canon()} is an activity actor; AA-to-AA sends route via send-in"
         )
     return _route(config, em, dest, call)
 
@@ -329,11 +333,10 @@ def aa_send_out(
 
 
 def _find_ready_signal(config: Configuration, actor: ActorTerm) -> EventMessage:
-    want = _ready_signal(actor)
-    for ev in config.top.events:
-        if ev == want:
-            return ev
-    raise NoPendingMessage(f"{actor.addr.canon()} has not signalled ready")
+    events, want = config.top.events, _ready_signal(actor)
+    if want not in events:
+        raise NoPendingMessage(f"{actor.addr.canon()} has not signalled ready")
+    return events[events.index(want)]
 
 
 def deliver_ready(
@@ -374,9 +377,7 @@ def set_partner(
     actor = _get_actor(config, ws)
     if partner == ws:
         raise SelfPartner(f"{ws.canon()} cannot partner itself")
-    new = dataclasses.replace(
-        actor, links=dataclasses.replace(actor.links, partner_ws=partner)
-    )
+    new = actor.evolve(links=dataclasses.replace(actor.links, partner_ws=partner))
     return _rebuild(config, actors=_swap_actor(config.top.actors, new))
 
 
@@ -443,19 +444,6 @@ def eject(config: Configuration, am: AppMessage) -> Tuple[Configuration, Produce
     return cfg, (am.canon(),)
 
 
-def boundary_out(config: Configuration) -> Tuple[Configuration, Tuple[AppMessage, ...]]:
-    """Sweep every outbound message over the boundary at once, in canonical
-    order, returning them alongside the new configuration."""
-    emitted: List[AppMessage] = []
-    while True:
-        mem = members(config.top)
-        pending = [am for am in config.top.apps if am.dest not in mem]
-        if not pending:
-            return config, tuple(emitted)
-        config, _ = eject(config, pending[0])
-        emitted.append(pending[0])
-
-
 # -- creation ----------------------------------------------------------------
 
 
@@ -500,9 +488,7 @@ def _birth(
         program, act.behavior, args, alloc, addr=addr, tau=tau, links=links
     )
     if act.role is not None:
-        newborn = dataclasses.replace(
-            newborn, state=newborn.state.set("role", act.role)
-        )
+        newborn = newborn.evolve(state=newborn.state.set("role", act.role))
     signals = ()
     if newborn.p is ProcessingState.READY:
         signals = (_ready_signal(newborn),)
@@ -530,9 +516,7 @@ def create_aa(
     creator = write_name(program, creator, head.bind_to, newborn.addr)
     creator = absorb(
         program,
-        dataclasses.replace(
-            creator, state=creator.state.with_queue(creator.state.queue[1:])
-        ),
+        creator.evolve(state=creator.state.with_queue(creator.state.queue[1:])),
     )
     cfg = _rebuild(
         config,
@@ -567,9 +551,7 @@ def create_wso(
     creator = write_name(program, creator, head.bind_to, newborn.addr)
     creator = absorb(
         program,
-        dataclasses.replace(
-            creator, state=creator.state.with_queue(creator.state.queue[1:])
-        ),
+        creator.evolve(state=creator.state.with_queue(creator.state.queue[1:])),
     )
     cfg = _rebuild(
         config,
@@ -614,7 +596,7 @@ def create_wss(
     creator = write_name(program, creator, second.bind_to, a2)
     creator = absorb(
         program,
-        dataclasses.replace(creator, state=creator.state.with_queue(queue[2:])),
+        creator.evolve(state=creator.state.with_queue(queue[2:])),
     )
     cfg = _rebuild(
         config,

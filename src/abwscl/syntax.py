@@ -288,6 +288,10 @@ class BehaviorDefinition:
     methods: Tuple[MethodDefinition, ...] = ()
     loc: Loc = field(default=Loc(), compare=False)
 
+    def bodies(self) -> Tuple[MethodDefinition, ...]:
+        """The init body, if any, then the methods in declaration order."""
+        return ((self.init,) if self.init else ()) + self.methods
+
     def method(self, name: str) -> Optional[MethodDefinition]:
         for m in self.methods:
             if m.name == name:

@@ -8,7 +8,8 @@ configuration has exactly one textual form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -30,6 +31,10 @@ class Address:
 
     def __str__(self) -> str:
         return self.id
+
+    def __hash__(self) -> int:
+        # equal addresses share their id; hashing it alone skips a tuple
+        return hash(self.id)
 
     def canon(self) -> str:
         return self.id
@@ -203,15 +208,19 @@ class LocalState:
     def set(self, name: str, value: Value) -> "LocalState":
         items = dict(self.vars)
         items[name] = value
-        return replace(self, vars=tuple(sorted(items.items())))
+        return LocalState(self.behavior, tuple(sorted(items.items())), self.queue)
 
     def with_queue(self, queue: tuple) -> "LocalState":
-        return replace(self, queue=queue)
+        return LocalState(self.behavior, self.vars, queue)
 
     def canon(self) -> str:
-        vs = ", ".join(f"{k}={canon_value(v)}" for k, v in self.vars)
-        qs = "; ".join(a.canon() for a in self.queue)
-        return f"{self.behavior}[{vs}][{qs}]"
+        memo = self.__dict__.get("_canon")
+        if memo is None:
+            vs = ", ".join(f"{k}={canon_value(v)}" for k, v in self.vars)
+            qs = "; ".join(a.canon() for a in self.queue)
+            memo = f"{self.behavior}[{vs}][{qs}]"
+            object.__setattr__(self, "_canon", memo)
+        return memo
 
 
 def state_acquaintances(s: LocalState) -> frozenset:
@@ -240,12 +249,20 @@ class ActorTerm:
     def kind(self) -> str:
         return self.links.kind
 
+    def evolve(self, *, p=None, state=None, last_signal=None, tau=None, links=None) -> "ActorTerm":
+        """dataclasses.replace for the fields a step changes, none of them
+        ever None, without its per-call field inspection."""
+        return ActorTerm(self.p if p is None else p, self.addr,
+                         self.state if state is None else state,
+                         self.last_signal if last_signal is None else last_signal,
+                         self.tau if tau is None else tau, self.links if links is None else links)
+
     def canon(self) -> str:
         memo = self.__dict__.get("_canon")
         if memo is None:
             memo = (
-                f"{self.p}{self.addr.canon()}{self.links.canon()}"
-                f" s:{self.state.canon()} l:{self.last_signal} t:{self.tau.canon()}"
+                f"{self.p._value_}{self.addr.id}{self.links.canon()}"
+                f" s:{self.state.canon()} l:{self.last_signal._value_} t:{self.tau.id}"
             )
             object.__setattr__(self, "_canon", memo)
         return memo
@@ -260,12 +277,15 @@ class EventMessage:
     event: Event
     value: Value = None
 
+    def __post_init__(self) -> None:
+        # every message in a fragment is sorted and keyed by this text
+        object.__setattr__(
+            self, "_canon",
+            f"{self.dest.id}<|({self.src.id},{self.event._value_},{canon_value(self.value)})",
+        )
+
     def canon(self) -> str:
-        memo = self.__dict__.get("_canon")
-        if memo is None:
-            memo = f"{self.dest.canon()}<|({self.src.canon()},{self.event},{canon_value(self.value)})"
-            object.__setattr__(self, "_canon", memo)
-        return memo
+        return self._canon
 
 
 @dataclass(frozen=True)
@@ -293,13 +313,18 @@ class AppMessage:
                 return a
         return ()
 
+    def __post_init__(self) -> None:
+        # every message in a fragment is sorted and keyed by this text
+        src = self.src.canon() if self.src else "_"
+        object.__setattr__(self, "_canon", f"{self.dest.canon()}:{src}<-{canon_value(self.value)}")
+
     def canon(self) -> str:
-        memo = self.__dict__.get("_canon")
-        if memo is None:
-            src = self.src.canon() if self.src else "_"
-            memo = f"{self.dest.canon()}:{src}<-{canon_value(self.value)}"
-            object.__setattr__(self, "_canon", memo)
-        return memo
+        return self._canon
+
+
+# sort keys for Fragment.make, read per member without a Python call
+_ADDR_ID = attrgetter("addr.id")
+_CANON = attrgetter("_canon")
 
 
 @dataclass(frozen=True)
@@ -314,16 +339,18 @@ class Fragment:
 
     @staticmethod
     def make(actors=(), events=(), apps=(), restriction=None) -> "Fragment":
-        actors = tuple(sorted(actors, key=lambda a: a.addr.id))
-        events = tuple(sorted(events, key=lambda m: m.canon()))
-        apps = tuple(sorted(apps, key=lambda m: m.canon()))
+        actors = tuple(sorted(actors, key=_ADDR_ID))
+        events = tuple(sorted(events, key=_CANON))
+        apps = tuple(sorted(apps, key=_CANON))
         if restriction is not None:
             restriction = frozenset(restriction)
         return Fragment(actors, events, apps, restriction)
 
     def actor(self, addr: Address) -> Optional[ActorTerm]:
+        key = getattr(addr, "id", None)
         for a in self.actors:
-            if a.addr == addr:
+            # equal addresses share their id; comparing it first is cheap
+            if a.addr.id == key and (a.addr is addr or a.addr == addr):
                 return a
         return None
 
@@ -333,14 +360,13 @@ class Fragment:
             return memo
         lines = []
         if self.restriction is not None:
-            names = ",".join(sorted(a.canon() for a in self.restriction))
-            lines.append(f"restrict {{{names}}}")
-        for a in self.actors:
-            lines.append("actor " + a.canon())
-        for m in self.events:
-            lines.append("event " + m.canon())
-        for m in self.apps:
-            lines.append("app   " + m.canon())
+            lines.append("restrict {" + ",".join(sorted(a.canon() for a in self.restriction)) + "}")
+        if self.actors:
+            lines.append("actor " + "\nactor ".join([a.canon() for a in self.actors]))
+        if self.events:
+            lines.append("event " + "\nevent ".join(map(_CANON, self.events)))
+        if self.apps:
+            lines.append("app   " + "\napp   ".join(map(_CANON, self.apps)))
         memo = "\n".join(lines)
         object.__setattr__(self, "_canon", memo)
         return memo
@@ -351,7 +377,11 @@ EMPTY = Fragment.make()
 
 def members(f: Fragment) -> frozenset:
     """Addresses of all actors, hidden or not; restriction is ignored."""
-    return frozenset(a.addr for a in f.actors)
+    memo = f.__dict__.get("_members")
+    if memo is None:
+        memo = frozenset(a.addr for a in f.actors)
+        object.__setattr__(f, "_members", memo)
+    return memo
 
 
 def receptionists(f: Fragment) -> frozenset:

@@ -7,7 +7,7 @@ can match on it without parsing the message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import syntax as ast
 

@@ -25,7 +25,6 @@ from abwscl.terms import (
     rename,
 )
 from abwscl.validate import validate
-from conftest import MINI_SOURCE
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 
@@ -207,6 +206,7 @@ def test_dropped_send_breaks_the_bookstore_pair(program, mutant_program, mini_pr
     assert verdict.missing == ("right:consume-2(receivePB)",)
     assert verdict.witness is not None
     assert verdict.witness[-1].key() == ("consume-2", "receivePB")
+    assert interaction.admits_sequence(pc_m, verdict.witness)
 
     # the oracle must agree, and for the right reason: the interface
     # still expects the price message, the orchestration never sends it

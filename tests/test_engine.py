@@ -1,6 +1,4 @@
-import pytest
-
-from abwscl import Exhaustive, FairRoundRobin, Trace, run
+from abwscl import Exhaustive, run
 from abwscl.engine import apply_instance, enabled_rules, explore
 from abwscl.program import initial_configuration, instantiate
 from abwscl.rules import _ready_signal, boundary_in

@@ -140,6 +140,7 @@ def test_unanswered_consume_is_reported_with_a_witness(mini_program):
     assert outcome.missing == ("right:consume-2(pong)",)
     assert outcome.witness is not None
     assert outcome.witness[-1].key() == ("consume-2", "pong")
+    assert admits_sequence(pc_m, outcome.witness)
 
 
 def test_shared_members_preempt_compatibility(mini_program):
@@ -152,8 +153,12 @@ def test_shared_members_preempt_compatibility(mini_program):
 
 def test_state_budget_is_enforced(program):
     pc = wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
-    with pytest.raises(SilentDivergence):
+    with pytest.raises(SilentDivergence) as info:
         interaction_semantics(pc, 4, max_states=50)
+    message = str(info.value)
+    assert "semantics" in message
+    assert "more than 50 states" in message
+    assert "depth 4" in message
 
 
 def steps_for(boundary):

@@ -274,15 +274,3 @@ def test_ejection_publishes_carried_members(mini_program):
             ),
             inside,
         )
-
-
-def test_boundary_out_sweeps_in_canonical_order(mini_program):
-    alloc = AddressAllocator()
-    ws = instantiate(mini_program, "MiniWS", [], alloc, addr=Address("MiniWS", "WS"))
-    m1 = AppMessage(Address("A", "WS"), call_record("x", ()), src=ws.addr)
-    m2 = AppMessage(Address("B", "WS"), call_record("y", ()), src=ws.addr)
-    config = Configuration(Fragment.make(actors=(ws,), apps=(m2, m1)))
-    after, emitted = rules.boundary_out(config)
-    assert after.top.apps == ()
-    assert [m.dest.id for m in emitted] == ["A", "B"]
-    assert members(after.top) == {ws.addr}
