@@ -8,7 +8,7 @@ the mapping module writes skeleton WSDL, BPEL, and CDL documents.
 from importlib import resources
 from pathlib import Path
 
-from .engine import Exhaustive, FairRoundRobin, Trace, run
+from .engine import FairRoundRobin, Trace, run
 from .errors import AbwsclError, ParseError
 from .interaction import (
     BOUNDARIES,
@@ -33,7 +33,6 @@ __all__ = [
     "AddressAllocator",
     "BOUNDARIES",
     "Diagnostic",
-    "Exhaustive",
     "FairRoundRobin",
     "InteractionSequence",
     "InteractionStep",

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import rules
 from . import syntax as ast
@@ -32,19 +33,35 @@ from .terms import (
 )
 
 
+_CROSSING = {"Out": "out", "In": "in"}
+# the text fields only: subjects have no order
+_ORDER = itemgetter(0, 1, 2)
+
+
 class RuleInstance(NamedTuple):
     """One applicable rewrite: which rule, where, consuming what.
 
-    A named tuple, so instances order by (rule id, site, payload) as they
-    are, and a state with many pending messages builds them cheaply."""
+    `subject` is the term the rule consumes or acts at: the site actor's
+    address for Request and the create rules, the signal for Compute,
+    SendIn and SendOut, the application message for ReadyDeliver,
+    SetPartner and Out, and the feed for In.  Instances order and are
+    scheduled by their text alone, (rule id, site, payload)."""
 
     rule_id: str
     site: str
-    payload: str = ""
+    payload: str
+    subject: Union[Address, EventMessage, AppMessage]
 
     @property
     def key(self) -> Tuple[str, str, str]:
         return (self.rule_id, self.site, self.payload)
+
+    def boundary_label(self) -> Optional[Tuple[str, str]]:
+        """("out"|"in", method) when this step crosses the boundary."""
+        direction = _CROSSING.get(self.rule_id)
+        if direction is None:
+            return None
+        return (direction, self.subject.method or "?")
 
     def __str__(self) -> str:
         return f"{self.rule_id} @ {self.site}"
@@ -95,14 +112,8 @@ class Trace:
 
     def boundary_labels(self) -> Tuple[Tuple[str, str], ...]:
         """((\"out\"|\"in\", method) per boundary crossing, in step order."""
-        out: List[Tuple[str, str]] = []
-        for s in self.steps:
-            if s.instance.rule_id in ("Out", "In"):
-                for a in s.artifacts:
-                    if isinstance(a, AppMessage):
-                        direction = "out" if s.instance.rule_id == "Out" else "in"
-                        out.append((direction, a.method or "?"))
-        return tuple(out)
+        labels = (s.instance.boundary_label() for s in self.steps)
+        return tuple(label for label in labels if label is not None)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -152,16 +163,16 @@ def enabled_rules(
         if not queue or isinstance(queue[0], (ast.SendAct, ast.SetPartnerCall)):
             if _request_ready(program, a):
                 payload = queue[0].canon() if queue else "ready"
-                insts.append(RuleInstance("Request", a.addr.id, payload))
+                insts.append(RuleInstance("Request", a.addr.id, payload, a.addr))
             continue
         head = queue[0]
         if not isinstance(head, ast.CreateAct) or not program.has(head.behavior):
             continue
         created = program.definition(head.behavior).kind
         if a.kind == "WSO" and created == "AA":
-            insts.append(RuleInstance("CreateAA", a.addr.id, head.canon()))
+            insts.append(RuleInstance("CreateAA", a.addr.id, head.canon(), a.addr))
         elif a.kind == "WS" and created == "WSO" and a.links.owner_wso is None:
-            insts.append(RuleInstance("CreateWSO", a.addr.id, head.canon()))
+            insts.append(RuleInstance("CreateWSO", a.addr.id, head.canon(), a.addr))
         elif (
             a.kind == "WSC"
             and created == "WS"
@@ -172,7 +183,7 @@ def enabled_rules(
             and program.has(queue[1].behavior)
             and program.definition(queue[1].behavior).kind == "WS"
         ):
-            insts.append(RuleInstance("CreateWSs", a.addr.id, head.canon()))
+            insts.append(RuleInstance("CreateWSs", a.addr.id, head.canon(), a.addr))
 
     for ev in top.events:
         if ev.event is Event.TRANSMIT:
@@ -184,7 +195,7 @@ def enabled_rules(
                 continue
             route = rules.send_route(top, ev.src, dest)
             if route is not None:
-                insts.append(RuleInstance(route, ev.dest.id, ev.canon()))
+                insts.append(RuleInstance(route, ev.dest.id, ev.canon(), ev))
         elif ev.event in (Event.COMPLETE, Event.DELIVER):
             t = top.actor(ev.dest)
             if (
@@ -192,7 +203,7 @@ def enabled_rules(
                 and t.p is ProcessingState.READY
                 and blocked(t.last_signal, ev.event)
             ):
-                insts.append(RuleInstance("Compute", ev.dest.id, ev.canon()))
+                insts.append(RuleInstance("Compute", ev.dest.id, ev.canon(), ev))
 
     # equal addresses share their id, so an id outside the members rules
     # an address out without hashing the address itself
@@ -207,41 +218,20 @@ def enabled_rules(
         if dest.id in mem_ids and dest in members(top):
             if _deliverable(program, config, am):
                 rid = "SetPartner" if am.method == "setPartner" else "ReadyDeliver"
-                insts.append(RuleInstance(rid, dest.id, text))
+                insts.append(RuleInstance(rid, dest.id, text, am))
         else:
-            out = RuleInstance("Out", dest.id, text)
+            out = RuleInstance("Out", dest.id, text, am)
             insts.append(out)
 
     recep = receptionists(top)
     for f in feeds:
         if f.dest in recep:
-            insts.append(RuleInstance("In", f.dest.id, f.canon()))
+            insts.append(RuleInstance("In", f.dest.id, f.canon(), f))
 
-    return tuple(sorted(insts))
+    return tuple(sorted(insts, key=_ORDER))
 
 
 # -- application ---------------------------------------------------------------
-
-
-def _actor_by_id(config: Configuration, site: str):
-    for a in config.top.actors:
-        if a.addr.id == site:
-            return a
-    raise AbwsclError(f"no actor at site {site}")
-
-
-def _event_by_canon(config: Configuration, payload: str) -> EventMessage:
-    for ev in config.top.events:
-        if ev.canon() == payload:
-            return ev
-    raise AbwsclError(f"no such signal: {payload}")
-
-
-def _app_by_canon(config: Configuration, payload: str) -> AppMessage:
-    for am in config.top.apps:
-        if am.canon() == payload:
-            return am
-    raise AbwsclError(f"no such message: {payload}")
 
 
 def apply_instance(
@@ -249,62 +239,49 @@ def apply_instance(
     config: Configuration,
     inst: RuleInstance,
     alloc: AddressAllocator,
-    feeds: Sequence[AppMessage] = (),
 ) -> Tuple[Configuration, Tuple[str, ...], Tuple]:
-    """Apply one enabled instance; returns (config, produced, artifacts).
+    """Apply one enabled instance to its subject; returns (config,
+    produced, artifacts).
 
     Artifacts are the message objects the step moved across a meaningful
     line: the AppMessage a routed send produced, or the message that
-    crossed the boundary.
+    crossed the boundary.  An instance whose subject is no longer pending
+    raises the rule's own error.
     """
-    rid = inst.rule_id
+    rid, subject = inst.rule_id, inst.subject
     if rid == "Request":
-        actor = _actor_by_id(config, inst.site)
-        cfg, produced = rules.step_request(program, config, actor.addr)
+        cfg, produced = rules.step_request(program, config, subject)
         return cfg, produced, ()
     if rid == "Compute":
-        actor = _actor_by_id(config, inst.site)
-        ev = _event_by_canon(config, inst.payload)
-        cfg, produced = rules.step_compute(program, config, actor.addr, ev)
+        cfg, produced = rules.step_compute(program, config, subject.dest, subject)
         return cfg, produced, ()
     if rid in ("SendIn", "SendOut"):
-        ev = _event_by_canon(config, inst.payload)
         fn = rules.aa_send_in if rid == "SendIn" else rules.aa_send_out
-        cfg, produced = fn(program, config, ev)
-        app = AppMessage(
-            dest=ev.value.get("dest"), value=ev.value.get("call"), src=ev.src
-        )
+        cfg, produced = fn(program, config, subject)
+        value = subject.value
+        app = AppMessage(dest=value.get("dest"), value=value.get("call"), src=subject.src)
         return cfg, produced, (app,)
     if rid == "ReadyDeliver":
-        am = _app_by_canon(config, inst.payload)
-        cfg, produced = rules.deliver_ready(program, config, am)
+        cfg, produced = rules.deliver_ready(program, config, subject)
         return cfg, produced, ()
     if rid == "SetPartner":
-        am = _app_by_canon(config, inst.payload)
-        cfg, produced = rules.deliver_set_partner(program, config, am)
+        cfg, produced = rules.deliver_set_partner(program, config, subject)
         return cfg, produced, ()
     if rid == "Out":
-        am = _app_by_canon(config, inst.payload)
-        cfg, produced = rules.eject(config, am)
-        return cfg, produced, (am,)
+        cfg, produced = rules.eject(config, subject)
+        return cfg, produced, (subject,)
     if rid == "In":
-        for f in feeds:
-            if f.canon() == inst.payload:
-                cfg = rules.boundary_in(config, f)
-                accepted = AppMessage(dest=f.dest, value=f.value, src=None)
-                return cfg, (accepted.canon(),), (accepted,)
-        raise AbwsclError(f"no such feed: {inst.payload}")
+        cfg = rules.boundary_in(config, subject)
+        accepted = AppMessage(dest=subject.dest, value=subject.value, src=None)
+        return cfg, (accepted.canon(),), (accepted,)
     if rid == "CreateAA":
-        actor = _actor_by_id(config, inst.site)
-        cfg, produced = rules.create_aa(program, config, actor.addr, alloc)
+        cfg, produced = rules.create_aa(program, config, subject, alloc)
         return cfg, produced, ()
     if rid == "CreateWSO":
-        actor = _actor_by_id(config, inst.site)
-        cfg, produced = rules.create_wso(program, config, actor.addr, alloc)
+        cfg, produced = rules.create_wso(program, config, subject, alloc)
         return cfg, produced, ()
     if rid == "CreateWSs":
-        actor = _actor_by_id(config, inst.site)
-        cfg, produced = rules.create_wss(program, config, actor.addr, alloc)
+        cfg, produced = rules.create_wss(program, config, subject, alloc)
         return cfg, produced, ()
     raise AbwsclError(f"unknown rule id {rid!r}")
 
@@ -336,14 +313,6 @@ class FairRoundRobin:
         return min(
             instances, key=lambda i: (self._ages[i.key], _tie_break(self.seed, i.key))
         )
-
-
-class Exhaustive:
-    """Always the first instance in canonical order.  For reachable-set
-    questions use explore(), which walks every branch."""
-
-    def choose(self, instances: Sequence[RuleInstance], step: int) -> RuleInstance:
-        return instances[0]
 
 
 # -- search --------------------------------------------------------------------
@@ -391,7 +360,7 @@ def search(start, key, successors, *, phase, depth, budget=None, lifo=False, sto
 
 def _without_feed(feeds: Tuple[AppMessage, ...], inst: RuleInstance) -> Tuple[AppMessage, ...]:
     """The feeds left once an In instance has taken its message."""
-    i = next(i for i, f in enumerate(feeds) if f.canon() == inst.payload)
+    i = feeds.index(inst.subject)
     return feeds[:i] + feeds[i + 1 :]
 
 
@@ -427,9 +396,7 @@ def run(
             quiescent = True
             break
         inst = sched.choose(insts, len(steps))
-        cur, produced, artifacts = apply_instance(
-            program, cur, inst, alloc, feeds=remaining
-        )
+        cur, produced, artifacts = apply_instance(program, cur, inst, alloc)
         if inst.rule_id == "In":
             remaining = _without_feed(remaining, inst)
         steps.append(StepRecord(inst, produced, artifacts, cur))
@@ -470,14 +437,10 @@ def explore(
         if used >= depth:
             return
         for inst in enabled_rules(program, cfg, feeds=fds):
-            cfg2, _produced, artifacts = apply_instance(
-                program, cfg, inst, alloc.clone(), feeds=fds
-            )
+            cfg2 = apply_instance(program, cfg, inst, alloc.clone())[0]
             fds2 = _without_feed(fds, inst) if inst.rule_id == "In" else fds
-            labels2 = labels
-            if inst.rule_id in ("Out", "In"):
-                direction = "out" if inst.rule_id == "Out" else "in"
-                labels2 += ((direction, artifacts[0].method or "?"),)
+            label = inst.boundary_label()
+            labels2 = labels if label is None else labels + (label,)
             yield (cfg2, fds2, labels2), used + 1
 
     def key(node):

@@ -489,21 +489,18 @@ def _ample(pc: PartialConfiguration, config, insts):
     with the rest of the configuration; running the first such instance
     alone reaches the same visible behaviour as fanning out.  Delivery
     choices and observable ejections stay branching."""
-    apps, prev = None, None
+    prev = None
     for inst in insts:
         if inst == prev:
             continue  # a duplicate message: judged just before, and refused
         prev = inst
         if inst.rule_id in _COMMUTING:
             return inst
-        if apps is None:
-            apps = {m.canon(): m for m in config.top.apps}
         if inst.rule_id == "Compute":
             if sum(1 for j in insts if j.site == inst.site) == 1:
                 return inst
         elif inst.rule_id == "Out":
-            am = apps[inst.payload]
-            if not _emit_visible(pc, am):
+            if not _emit_visible(pc, inst.subject):
                 return inst
         elif inst.rule_id in ("ReadyDeliver", "SetPartner"):
             # an unraced delivery whose guard can never turn it away: the
@@ -511,7 +508,7 @@ def _ample(pc: PartialConfiguration, config, insts):
             # and here there is no choice
             if sum(1 for j in insts if j.site == inst.site) != 1:
                 continue
-            am = apps[inst.payload]
+            am = inst.subject
             target = config.top.actor(am.dest)
             d = pc.program.definition(target.behavior)
             m = d.method(am.method)
@@ -530,15 +527,19 @@ def _edges(pc: PartialConfiguration, config, env_left, alloc, *, free_peer=True,
         inst = _ample(pc, config, insts)
         if inst is not None:
             a2 = alloc.clone()
-            nxt, _produced, artifacts = apply_instance(pc.program, config, inst, a2)
-            am = artifacts[0] if inst.rule_id == "Out" else None
+            nxt = apply_instance(pc.program, config, inst, a2)[0]
+            am = inst.subject if inst.rule_id == "Out" else None
             return [(silent(pc.boundary), am, nxt, env_left, a2)], True
     moves = []
+    prev = None
     for inst in insts:
+        if inst == prev:
+            continue  # another copy of the same message: the same successor
+        prev = inst
         a2 = alloc.clone()
-        nxt, _produced, artifacts = apply_instance(pc.program, config, inst, a2)
+        nxt = apply_instance(pc.program, config, inst, a2)[0]
         if inst.rule_id == "Out":
-            am = artifacts[0]
+            am = inst.subject
             if _emit_visible(pc, am):
                 step = _classify_message(pc, am)
             else:

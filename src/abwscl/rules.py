@@ -197,32 +197,26 @@ def step_compute(
     program: Program,
     config: Configuration,
     site: Address,
-    notification: Optional[EventMessage] = None,
+    notification: EventMessage,
 ) -> Tuple[Configuration, Produced]:
     """A blocked actor consumes the notification its last signal awaits.
 
     Complete resumes the remaining queue; deliver loads the called method's
-    body.  A deliver whose guard is false is refused and left pending.
+    body.  A deliver whose guard is false is refused and left pending; a
+    notification that is not pending is NoPendingMessage.
     """
+    if notification.dest != site:
+        raise NoPendingMessage(
+            f"notification {notification.canon()} is not for {site.canon()}"
+        )
+    events = _without(config.top.events, notification)
     actor = _get_actor(config, site)
     if actor.p is not ProcessingState.READY:
         raise NotRunning(f"{site.canon()} is not blocked on a notification")
-    if notification is None:
-        for ev in config.top.events:
-            if ev.dest == site and blocked(actor.last_signal, ev.event):
-                notification = ev
-                break
-        if notification is None:
-            raise NoNextEvent(f"no notification pending for {site.canon()}")
-    else:
-        if notification.dest != site:
-            raise NoPendingMessage(
-                f"notification {notification.canon()} is not for {site.canon()}"
-            )
-        if not blocked(actor.last_signal, notification.event):
-            raise NotBlockedPair(
-                f"({actor.last_signal}, {notification.event}) not in the block relation"
-            )
+    if not blocked(actor.last_signal, notification.event):
+        raise NotBlockedPair(
+            f"({actor.last_signal}, {notification.event}) not in the block relation"
+        )
     if notification.event is Event.COMPLETE:
         new = absorb(program, actor.evolve(p=ProcessingState.RUNNING))
     else:  # deliver
@@ -239,7 +233,7 @@ def step_compute(
     cfg = _rebuild(
         config,
         actors=_swap_actor(config.top.actors, new),
-        events=_without(config.top.events, notification),
+        events=events,
     )
     return cfg, ()
 

@@ -292,7 +292,7 @@ def _enumerate_boundary_traces(program, config, depth, feeds):
         for cfg, fds, seq in level:
             for inst in engine.enabled_rules(program, cfg, feeds=fds):
                 cfg2, _produced, artifacts = engine.apply_instance(
-                    program, cfg, inst, base.clone(), feeds=fds
+                    program, cfg, inst, base.clone()
                 )
                 fds2, seq2 = fds, seq
                 if inst.rule_id == "In":

@@ -1,5 +1,8 @@
-from abwscl import Exhaustive, run
+import pytest
+
+from abwscl import interaction, run
 from abwscl.engine import apply_instance, enabled_rules, explore
+from abwscl.errors import NoPendingMessage
 from abwscl.program import initial_configuration, instantiate
 from abwscl.rules import _ready_signal, boundary_in
 from abwscl.terms import (
@@ -125,13 +128,38 @@ def test_delivery_races_are_visible_to_the_scheduler():
     assert len(nexts) == 2
 
 
-def test_exhaustive_policy_is_deterministic(program):
+def test_instances_consume_their_subject(program):
     alloc = AddressAllocator()
     config = initial_configuration(program, "BuyingBookWSC", alloc)
-    t1 = run(program, config, Exhaustive(), max_steps=500, alloc=alloc.clone())
-    t2 = run(program, config, Exhaustive(), max_steps=500, alloc=alloc.clone())
-    assert t1.text() == t2.text()
-    assert t1.quiescent
+    whole = run(program, config, max_steps=500, alloc=alloc)
+    # one side alone: its calls to the service leave through Out
+    side = interaction.wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
+    part = run(
+        program, side.config, max_steps=500,
+        feeds=side.peer_feeds, alloc=side.alloc.clone(),
+    )
+    stale = set()
+    for trace in (whole, part):
+        pre = trace.initial
+        for step in trace.steps:
+            pending = pre.top.events + pre.top.apps
+            for inst in enabled_rules(program, pre):
+                subject = inst.subject
+                if isinstance(subject, Address):
+                    assert subject.id == inst.site
+                    assert pre.top.actor(subject) is not None
+                else:
+                    assert any(subject is m for m in pending)
+            inst, post = step.instance, step.post
+            if inst.rule_id in ("Out", "ReadyDeliver", "Compute") and not any(
+                inst.subject == m for m in post.top.events + post.top.apps
+            ):
+                # the consumed message is gone, so the instance is stale
+                with pytest.raises(NoPendingMessage):
+                    apply_instance(program, post, inst, AddressAllocator())
+                stale.add(inst.rule_id)
+            pre = post
+    assert stale == {"Out", "ReadyDeliver", "Compute"}
 
 
 def test_explore_matches_single_runs(mini_program):
