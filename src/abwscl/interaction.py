@@ -712,18 +712,32 @@ def _consume_edges(pc: PartialConfiguration, config, bag: Tuple[Record, ...]):
     return out
 
 
-def _product_edges(pc_a, pc_m, state):
+def _side_edges(pc: PartialConfiguration, memo, config, env_left, alloc):
+    """One side's product moves, computed once per state key.
+
+    Exact because a side's moves depend on its key alone: the allocator,
+    their one other input, is fixed by the configuration, since created
+    actors are never removed and keep their `label#n` ids."""
+    key = _state_key(config, env_left)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _edges(pc, config, env_left, alloc, free_peer=False)
+    return hit
+
+
+def _product_edges(pc_a, pc_m, state, memo_a, memo_m):
     """Moves of the two-sided product; consumes draw from the bags.
 
     A commuting silent move on either side preempts the fan-out exactly
-    as it does solo: it touches nothing the other side can read."""
+    as it does solo: it touches nothing the other side can read.  Each
+    side's moves come from its memo, one per `compatible` call."""
     cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma, al_a, al_m = state
-    edges_a, det_a = _edges(pc_a, cfg_a, env_a, al_a, free_peer=False)
+    edges_a, det_a = _side_edges(pc_a, memo_a, cfg_a, env_a, al_a)
     if det_a:
         step, am, nxt, env2, a2 = edges_a[0]
         bag2 = bag_am + (am.value,) if (am is not None and am.dest == pc_a.gate) else bag_am
         return [("A", step, (nxt, cfg_m, env2, env_m, bag2, bag_ma, a2, al_m))]
-    edges_m, det_m = _edges(pc_m, cfg_m, env_m, al_m, free_peer=False)
+    edges_m, det_m = _side_edges(pc_m, memo_m, cfg_m, env_m, al_m)
     if det_m:
         step, am, nxt, env2, a2 = edges_m[0]
         bag2 = bag_ma + (am.value,) if (am is not None and am.dest == pc_m.gate) else bag_ma
@@ -753,16 +767,16 @@ def _product_start(pc_a, pc_m):
     return (config_a, config_m, env_a, env_m, (), (), alloc_a, alloc_m)
 
 
-def _greedy_witness(pc_a, pc_m, depth, side, missing_step, *, max_states):
+def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, *, max_states):
     """A deterministic product run projected on the failing side, with
-    the unmatched step appended."""
+    the unmatched step appended; the product's memos supply the moves."""
     state = _product_start(pc_a, pc_m)
     history: List[Tuple[str, InteractionStep]] = []
     pc_fail = pc_a if side == "A" else pc_m
     for _ in range(max_states):
         if sum(1 for _s, st in history if st.visible) >= depth:
             break
-        moves = _product_edges(pc_a, pc_m, state)
+        moves = _product_edges(pc_a, pc_m, state, memo_a, memo_m)
         if not moves:
             break
         moves.sort(key=lambda m: (m[1].visible, m[0], m[1].label()))
@@ -810,9 +824,13 @@ def compatible(
     req_m, n_m = _solo_labels(pc_m, depth, max_states=max_states)
     got_a: Set[Tuple[str, str]] = set()
     got_m: Set[Tuple[str, str]] = set()
+    # product moves only: keeping the solo phases' moves as well would
+    # multiply the peak memory of the largest checks
+    memo_a: dict = {}
+    memo_m: dict = {}
 
     def successors(state, count):
-        for tag, step, nxt in _product_edges(pc_a, pc_m, state):
+        for tag, step, nxt in _product_edges(pc_a, pc_m, state, memo_a, memo_m):
             if not step.visible:
                 yield nxt, count
             elif count < depth:
@@ -839,7 +857,7 @@ def compatible(
     pc_fail = pc_a if side == "A" else pc_m
     step = _missing_to_step(pc_fail, shape, text)
     witness, _pc = _greedy_witness(
-        pc_a, pc_m, depth, side, step, max_states=max_states
+        pc_a, pc_m, depth, side, step, memo_a, memo_m, max_states=max_states
     )
     labels = tuple(
         f"{'left' if s == 'A' else 'right'}:{sh}({tx})" for s, sh, tx in missing

@@ -55,6 +55,25 @@ SET_PARTNER_BLOCK = """    setPartner(WS ws) if true {
 """
 
 
+UA_REQUEST_LB_BLOCK = """    requestLB() if true {
+        other-local-computations
+        ws-ref <- requestLB()
+    }"""
+
+UA_REQUEST_LB_WITHOUT_SEND = """    requestLB() if true {
+        other-local-computations
+    }"""
+
+
+@pytest.fixture(scope="session")
+def request_lb_mutant_program(corpus_text) -> Program:
+    """The user agent's orchestration never forwards the book-list request."""
+    # the block also opens UserAgentWS's requestLB; the first is UserAgentWSO's
+    assert corpus_text.count(UA_REQUEST_LB_BLOCK) == 2
+    assert corpus_text.index(UA_REQUEST_LB_BLOCK) < corpus_text.index("WS UserAgentWS {")
+    return Program.parse(corpus_text.replace(UA_REQUEST_LB_BLOCK, UA_REQUEST_LB_WITHOUT_SEND, 1))
+
+
 @pytest.fixture(scope="session")
 def aa_create_mutant_text(corpus_text) -> str:
     """An activity actor tries to create a sibling."""

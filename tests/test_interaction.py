@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abwscl import interaction
 from abwscl.errors import BoundaryMismatch, SilentDivergence, UnknownName
 from abwscl.interaction import (
     BOUNDARIES,
@@ -143,6 +144,53 @@ def test_unanswered_consume_is_reported_with_a_witness(mini_program):
     assert admits_sequence(pc_m, outcome.witness)
 
 
+def test_ws_ws_witness_replays_on_the_failing_side(request_lb_mutant_program):
+    pc_a, pc_m = check_pair(request_lb_mutant_program, "UserAgentWS", "BookStoreWS", "ws-ws")
+    verdict = composable(pc_a, pc_m)
+    assert verdict.kind == "Incompatible"
+    assert verdict.missing == ("right:consume-2(requestLB)",)
+    assert admits_sequence(pc_m, verdict.witness)
+
+
+def _moves_text(edges):
+    moves, det = edges
+    return det, [
+        (step.label(), am.canon() if am is not None else None, nxt.canon(), env2, a2._n)
+        for step, am, nxt, env2, a2 in moves
+    ]
+
+
+def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_program):
+    """A side's memoised moves are the ones its state would compute anew,
+    allocator included, at every state the product and witness expand."""
+    expanded = []
+    product_edges = interaction._product_edges
+
+    def recording(pc_a, pc_m, state, memo_a, memo_m):
+        expanded.append((state, memo_a, memo_m))
+        return product_edges(pc_a, pc_m, state, memo_a, memo_m)
+
+    monkeypatch.setattr(interaction, "_product_edges", recording)
+    for program, pair in [
+        (mutant_program, ("BookStoreWSO", "BookStoreWS")),
+        (mini_program, ("MiniWSO", "MiniWS")),
+    ]:
+        expanded.clear()
+        pc_a, pc_m = check_pair(program, *pair, "wso-ws")
+        compatible(pc_a, pc_m)
+        assert expanded
+        for state, memo_a, memo_m in expanded:
+            cfg_a, cfg_m, env_a, env_m, _bag_am, _bag_ma, al_a, al_m = state
+            cached_a = memo_a[interaction._state_key(cfg_a, env_a)]
+            sides = [(pc_a, cached_a, cfg_a, env_a, al_a)]
+            if not cached_a[1]:  # a deterministic left move leaves the right unread
+                cached_m = memo_m[interaction._state_key(cfg_m, env_m)]
+                sides.append((pc_m, cached_m, cfg_m, env_m, al_m))
+            for pc, cached, cfg, env, alloc in sides:
+                fresh = interaction._edges(pc, cfg, env, alloc, free_peer=False)
+                assert _moves_text(cached) == _moves_text(fresh)
+
+
 def test_shared_members_preempt_compatibility(mini_program):
     pc_a = wso_side(mini_program, "MiniWSO", ws_name="MiniWS")
     pc_b = wso_side(mini_program, "MiniWSO", far_wso="MiniDriverWSO")
@@ -151,7 +199,7 @@ def test_shared_members_preempt_compatibility(mini_program):
     assert verdict.overlap == (Address("MiniWSO", "WSO"),)
 
 
-def test_state_budget_is_enforced(program):
+def test_state_budget_is_enforced(program, request_lb_mutant_program):
     pc = wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
     with pytest.raises(SilentDivergence) as info:
         interaction_semantics(pc, 4, max_states=50)
@@ -159,6 +207,12 @@ def test_state_budget_is_enforced(program):
     assert "semantics" in message
     assert "more than 50 states" in message
     assert "depth 4" in message
+
+    # both solo phases fit in the budget; the product does not
+    pc_a, pc_m = check_pair(request_lb_mutant_program, "UserAgentWS", "BookStoreWS", "ws-ws")
+    with pytest.raises(SilentDivergence) as info:
+        composable(pc_a, pc_m, max_states=1000)
+    assert str(info.value) == "product: more than 1000 states within depth 24"
 
 
 def steps_for(boundary):
