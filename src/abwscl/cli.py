@@ -21,7 +21,6 @@ from . import interaction, wsmap
 from .engine import run as engine_run
 from .errors import (
     AbwsclError,
-    BoundaryMismatch,
     NotAWS,
     NotAWSC,
     NotAWSO,
@@ -107,7 +106,7 @@ def cmd_check(
         else:
             pc_a, pc_m = interaction.check_pair(program, cfg.name, name_b, boundary)
             verdict = interaction.composable(pc_a, pc_m, cfg.depth)
-    except (BoundaryMismatch, NotAWS, NotAWSO, AbwsclError) as e:
+    except AbwsclError as e:
         print(f"error: {e}", file=err)
         return INVALID
     record = {

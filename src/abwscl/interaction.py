@@ -101,14 +101,6 @@ class InteractionStep:
     def visible(self) -> bool:
         return self.shape != "silent"
 
-    @property
-    def method(self) -> Optional[str]:
-        if isinstance(self.payload, Record):
-            m = self.payload.get("method")
-            if isinstance(m, str):
-                return m
-        return None
-
     def key(self) -> Tuple[str, str]:
         """What compatibility matches on: shape and payload text."""
         return (self.shape, _payload_text(self.payload))
@@ -471,11 +463,13 @@ def check_pair(
 # -- one side explored against a free boundary ---------------------------------
 
 
-def _pending(config: Configuration, feed: AppMessage) -> bool:
+def _inject(pc: PartialConfiguration, config: Configuration, feed: AppMessage):
+    """A peer call arriving at the side: (step, next configuration), or
+    None while a call of the same method to the same receiver is pending."""
     for am in config.top.apps:
         if am.dest == feed.dest and am.method == feed.method:
-            return True
-    return False
+            return None
+    return _classify_message(pc, feed), rules.boundary_in(config, feed)
 
 
 # silent, touch only their own site, and cannot be disabled by any other move
@@ -553,11 +547,10 @@ def _edges(pc: PartialConfiguration, config, env_left, alloc, *, free_peer=True,
         moves.append((silent(pc.boundary), None, nxt, env_left - {i}, alloc.clone()))
     if free_peer:
         for feed in pc.peer_feeds:
-            if _pending(config, feed):
-                continue
-            nxt = rules.boundary_in(config, feed)
-            step = _classify_message(pc, feed)
-            moves.append((step, None, nxt, env_left, alloc.clone()))
+            arrival = _inject(pc, config, feed)
+            if arrival is not None:
+                step, nxt = arrival
+                moves.append((step, None, nxt, env_left, alloc.clone()))
     return moves, False
 
 
@@ -660,20 +653,6 @@ def _solo_labels(
 
 
 @dataclass(frozen=True)
-class Compatibility:
-    """Outcome of matching two sides against each other."""
-
-    ok: bool
-    depth: int
-    explored: int
-    missing: Tuple[str, ...] = ()
-    witness: Optional[InteractionSequence] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class Verdict:
     kind: str  # Composable | Incompatible | MemberOverlap
     depth: int
@@ -703,12 +682,10 @@ def _consume_edges(pc: PartialConfiguration, config, bag: Tuple[Record, ...]):
         if ck in taken:
             continue
         taken.add(ck)
-        feed = AppMessage(dest=pc.anchor, src=pc.gate, value=call)
-        if _pending(config, feed):
-            continue
-        nxt = rules.boundary_in(config, feed)
-        step = _classify_message(pc, feed)
-        out.append((step, bag[:i] + bag[i + 1 :], nxt))
+        arrival = _inject(pc, config, AppMessage(dest=pc.anchor, src=pc.gate, value=call))
+        if arrival is not None:
+            step, nxt = arrival
+            out.append((step, bag[:i] + bag[i + 1 :], nxt))
     return out
 
 
@@ -725,6 +702,12 @@ def _side_edges(pc: PartialConfiguration, memo, config, env_left, alloc):
     return hit
 
 
+def _sent(pc: PartialConfiguration, am: Optional[AppMessage], bag: Tuple[Record, ...]):
+    """The side's out-bag after a move: a call sent toward the gate lands
+    in the other side's in-bag."""
+    return bag + (am.value,) if am is not None and am.dest == pc.gate else bag
+
+
 def _product_edges(pc_a, pc_m, state, memo_a, memo_m):
     """Moves of the two-sided product; consumes draw from the bags.
 
@@ -733,22 +716,20 @@ def _product_edges(pc_a, pc_m, state, memo_a, memo_m):
     side's moves come from its memo, one per `compatible` call."""
     cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma, al_a, al_m = state
     edges_a, det_a = _side_edges(pc_a, memo_a, cfg_a, env_a, al_a)
+    moves = [
+        ("A", step, (nxt, cfg_m, env2, env_m, _sent(pc_a, am, bag_am), bag_ma, a2, al_m))
+        for step, am, nxt, env2, a2 in edges_a
+    ]
     if det_a:
-        step, am, nxt, env2, a2 = edges_a[0]
-        bag2 = bag_am + (am.value,) if (am is not None and am.dest == pc_a.gate) else bag_am
-        return [("A", step, (nxt, cfg_m, env2, env_m, bag2, bag_ma, a2, al_m))]
+        return moves
     edges_m, det_m = _side_edges(pc_m, memo_m, cfg_m, env_m, al_m)
+    own_m = [
+        ("M", step, (cfg_a, nxt, env_a, env2, bag_am, _sent(pc_m, am, bag_ma), al_a, a2))
+        for step, am, nxt, env2, a2 in edges_m
+    ]
     if det_m:
-        step, am, nxt, env2, a2 = edges_m[0]
-        bag2 = bag_ma + (am.value,) if (am is not None and am.dest == pc_m.gate) else bag_ma
-        return [("M", step, (cfg_a, nxt, env_a, env2, bag_am, bag2, al_a, a2))]
-    moves = []
-    for step, am, nxt, env2, a2 in edges_a:
-        bag2 = bag_am + (am.value,) if (am is not None and am.dest == pc_a.gate) else bag_am
-        moves.append(("A", step, (nxt, cfg_m, env2, env_m, bag2, bag_ma, a2, al_m)))
-    for step, am, nxt, env2, a2 in edges_m:
-        bag2 = bag_ma + (am.value,) if (am is not None and am.dest == pc_m.gate) else bag_ma
-        moves.append(("M", step, (cfg_a, nxt, env_a, env2, bag_am, bag2, al_a, a2)))
+        return own_m
+    moves += own_m
     for step, bag2, nxt in _consume_edges(pc_a, cfg_a, bag_ma):
         moves.append(("A", step, (nxt, cfg_m, env_a, env_m, bag_am, bag2, al_a, al_m)))
     for step, bag2, nxt in _consume_edges(pc_m, cfg_m, bag_am):
@@ -772,7 +753,6 @@ def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, *, ma
     the unmatched step appended; the product's memos supply the moves."""
     state = _product_start(pc_a, pc_m)
     history: List[Tuple[str, InteractionStep]] = []
-    pc_fail = pc_a if side == "A" else pc_m
     for _ in range(max_states):
         if sum(1 for _s, st in history if st.visible) >= depth:
             break
@@ -784,7 +764,7 @@ def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, *, ma
         if step.visible:
             history.append((tag, step))
     prefix = tuple(st for tag, st in history if tag == side)
-    return InteractionSequence(prefix + (missing_step,)), pc_fail
+    return InteractionSequence(prefix + (missing_step,))
 
 
 def _missing_to_step(pc: PartialConfiguration, shape: str, text: str) -> InteractionStep:
@@ -806,13 +786,14 @@ def compatible(
     depth: Optional[int] = None,
     *,
     max_states: int = _MAX_STATES,
-) -> Compatibility:
+) -> Verdict:
     """Whether each side's solo behaviour survives being fed by the other.
 
     The two sides run in one product where every emission toward the
     gate lands in the other side's in-bag and consumes draw only from
     that bag.  The sides are compatible when every visible step either
-    side can take alone is realized somewhere in the product.
+    side can take alone is realized somewhere in the product; the
+    verdict is then Composable, and Incompatible otherwise.
     """
     if _FLIP[pc_a.boundary] != pc_m.boundary:
         raise BoundaryMismatch(
@@ -847,23 +828,18 @@ def compatible(
     )
     explored += n_a + n_m
     if covered():
-        return Compatibility(ok=True, depth=depth, explored=explored)
+        return Verdict(kind="Composable", depth=depth, explored=explored)
     missing = sorted(
         [("A", shape, text) for shape, text in req_a - got_a]
         + [("M", shape, text) for shape, text in req_m - got_m],
         key=lambda t: (t[2], t[1], t[0]),
     )
     side, shape, text = missing[0]
-    pc_fail = pc_a if side == "A" else pc_m
-    step = _missing_to_step(pc_fail, shape, text)
-    witness, _pc = _greedy_witness(
-        pc_a, pc_m, depth, side, step, memo_a, memo_m, max_states=max_states
-    )
-    labels = tuple(
-        f"{'left' if s == 'A' else 'right'}:{sh}({tx})" for s, sh, tx in missing
-    )
-    return Compatibility(
-        ok=False, depth=depth, explored=explored, missing=labels, witness=witness
+    step = _missing_to_step(pc_a if side == "A" else pc_m, shape, text)
+    witness = _greedy_witness(pc_a, pc_m, depth, side, step, memo_a, memo_m, max_states=max_states)
+    labels = tuple(f"{'left' if s == 'A' else 'right'}:{sh}({tx})" for s, sh, tx in missing)
+    return Verdict(
+        kind="Incompatible", depth=depth, explored=explored, witness=witness, missing=labels
     )
 
 
@@ -878,13 +854,4 @@ def composable(
     overlap = tuple(sorted(pc_a.members() & pc_m.members(), key=lambda a: a.id))
     if overlap:
         return Verdict(kind="MemberOverlap", depth=depth or 0, explored=0, overlap=overlap)
-    outcome = compatible(pc_a, pc_m, depth, max_states=max_states)
-    if outcome.ok:
-        return Verdict(kind="Composable", depth=outcome.depth, explored=outcome.explored)
-    return Verdict(
-        kind="Incompatible",
-        depth=outcome.depth,
-        explored=outcome.explored,
-        witness=outcome.witness,
-        missing=outcome.missing,
-    )
+    return compatible(pc_a, pc_m, depth, max_states=max_states)

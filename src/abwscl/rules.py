@@ -333,6 +333,21 @@ def _find_ready_signal(config: Configuration, actor: ActorTerm) -> EventMessage:
     return events[events.index(want)]
 
 
+def _deliver(
+    config: Configuration, actor: ActorTerm, ready: EventMessage, am: AppMessage
+) -> Tuple[Configuration, Produced]:
+    # the ready signal and the message become one deliver notification
+    deliver = EventMessage(
+        dest=actor.addr, src=actor.tau, event=Event.DELIVER, value=am.value
+    )
+    cfg = _rebuild(
+        config,
+        events=_without(config.top.events, ready) + (deliver,),
+        apps=_without(config.top.apps, am),
+    )
+    return cfg, (deliver.canon(),)
+
+
 def deliver_ready(
     program: Program, config: Configuration, am: AppMessage
 ) -> Tuple[Configuration, Produced]:
@@ -352,15 +367,7 @@ def deliver_ready(
         return deliver_set_partner(program, config, am)
     if not guard_accepts(program, actor, method, am.args):
         raise GuardRejected(f"guard of {actor.behavior}.{method} refused the call")
-    deliver = EventMessage(
-        dest=actor.addr, src=actor.tau, event=Event.DELIVER, value=am.value
-    )
-    cfg = _rebuild(
-        config,
-        events=_without(config.top.events, ready) + (deliver,),
-        apps=_without(config.top.apps, am),
-    )
-    return cfg, (deliver.canon(),)
+    return _deliver(config, actor, ready, am)
 
 
 def set_partner(
@@ -392,15 +399,7 @@ def deliver_set_partner(
         raise GuardRejected(f"guard of {actor.behavior}.setPartner refused the call")
     config = set_partner(config, am.dest, args[0])
     actor = _get_actor(config, am.dest)
-    deliver = EventMessage(
-        dest=actor.addr, src=actor.tau, event=Event.DELIVER, value=am.value
-    )
-    cfg = _rebuild(
-        config,
-        events=_without(config.top.events, ready) + (deliver,),
-        apps=_without(config.top.apps, am),
-    )
-    return cfg, (deliver.canon(),)
+    return _deliver(config, actor, ready, am)
 
 
 # -- boundary ----------------------------------------------------------------
@@ -489,6 +488,25 @@ def _birth(
     return newborn, signals
 
 
+def _created(
+    program: Program, config: Configuration, creator: ActorTerm,
+    binds: Sequence[Tuple[str, Address]], rest: tuple,
+    born: Tuple[ActorTerm, ...], signals: Tuple[EventMessage, ...],
+) -> Tuple[Configuration, Produced]:
+    """The creator binds each new address, drops its create acts and
+    resumes on `rest`; the newborns join with their ready signals."""
+    for name, addr in binds:
+        creator = write_name(program, creator, name, addr)
+    creator = absorb(program, creator.evolve(state=creator.state.with_queue(rest)))
+    cfg = _rebuild(
+        config,
+        actors=_swap_actor(config.top.actors, creator) + born,
+        events=config.top.events + signals,
+    )
+    produced = tuple(f"actor {a.addr.canon()}" for a in born)
+    return cfg, produced + tuple(s.canon() for s in signals)
+
+
 def create_aa(
     program: Program, config: Configuration, site: Address, alloc: AddressAllocator
 ) -> Tuple[Configuration, Produced]:
@@ -507,18 +525,8 @@ def create_aa(
         tau=site,
         links=Links("AA", interface_ws=creator.links.interface_ws),
     )
-    creator = write_name(program, creator, head.bind_to, newborn.addr)
-    creator = absorb(
-        program,
-        creator.evolve(state=creator.state.with_queue(creator.state.queue[1:])),
-    )
-    cfg = _rebuild(
-        config,
-        actors=_swap_actor(config.top.actors, creator) + (newborn,),
-        events=config.top.events + signals,
-    )
-    produced = (f"actor {newborn.addr.canon()}",) + tuple(s.canon() for s in signals)
-    return cfg, produced
+    binds = ((head.bind_to, newborn.addr),)
+    return _created(program, config, creator, binds, creator.state.queue[1:], (newborn,), signals)
 
 
 def create_wso(
@@ -542,18 +550,8 @@ def create_wso(
         links=Links("WSO", owner_wso=addr, interface_ws=site),
         addr=addr,
     )
-    creator = write_name(program, creator, head.bind_to, newborn.addr)
-    creator = absorb(
-        program,
-        creator.evolve(state=creator.state.with_queue(creator.state.queue[1:])),
-    )
-    cfg = _rebuild(
-        config,
-        actors=_swap_actor(config.top.actors, creator) + (newborn,),
-        events=config.top.events + signals,
-    )
-    produced = (f"actor {newborn.addr.canon()}",) + tuple(s.canon() for s in signals)
-    return cfg, produced
+    binds = ((head.bind_to, newborn.addr),)
+    return _created(program, config, creator, binds, creator.state.queue[1:], (newborn,), signals)
 
 
 def create_wss(
@@ -586,19 +584,5 @@ def create_wss(
         program, config, creator, second, alloc,
         tau=a2, links=Links("WS", partner_ws=a1), addr=a2,
     )
-    creator = write_name(program, creator, first.bind_to, a1)
-    creator = write_name(program, creator, second.bind_to, a2)
-    creator = absorb(
-        program,
-        creator.evolve(state=creator.state.with_queue(queue[2:])),
-    )
-    cfg = _rebuild(
-        config,
-        actors=_swap_actor(config.top.actors, creator) + (ws1, ws2),
-        events=config.top.events + sig1 + sig2,
-    )
-    produced = (
-        f"actor {a1.canon()}",
-        f"actor {a2.canon()}",
-    ) + tuple(s.canon() for s in sig1 + sig2)
-    return cfg, produced
+    binds = ((first.bind_to, a1), (second.bind_to, a2))
+    return _created(program, config, creator, binds, queue[2:], (ws1, ws2), sig1 + sig2)

@@ -322,12 +322,10 @@ def partner_ws_names(d: ast.BehaviorDefinition) -> Tuple[str, ...]:
     if d.kind != "WSC":
         raise NotAWSC(f"{d.name} is {d.kind}, not WSC")
     by_role = {}
-    order = []
     if d.init is not None:
         for act in d.init.body:
             if isinstance(act, ast.CreateAct) and act.role is not None:
                 by_role[act.role] = act.behavior
-                order.append(act.role)
     return tuple(by_role[r] for r in d.roles if r in by_role)
 
 

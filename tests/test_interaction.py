@@ -137,7 +137,7 @@ def test_unanswered_consume_is_reported_with_a_witness(mini_program):
         mini_program, "MiniDriverWS", facing="wso", wso_name="MiniWSO"
     )
     outcome = compatible(pc_a, pc_m, 6)
-    assert not outcome.ok
+    assert outcome.kind == "Incompatible"
     assert outcome.missing == ("right:consume-2(pong)",)
     assert outcome.witness is not None
     assert outcome.witness[-1].key() == ("consume-2", "pong")
@@ -150,6 +150,28 @@ def test_ws_ws_witness_replays_on_the_failing_side(request_lb_mutant_program):
     assert verdict.kind == "Incompatible"
     assert verdict.missing == ("right:consume-2(requestLB)",)
     assert admits_sequence(pc_m, verdict.witness)
+
+
+def _consumes(pc, config, env_left, alloc):
+    moves, _det = interaction._edges(pc, config, env_left, alloc, reduced=False)
+    return [(step, nxt) for step, _am, nxt, _env, _a in moves if step.shape == "consume-2"]
+
+
+def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
+    """Solo and product phases inject a peer call under one rule: not
+    while a call of the same method still waits at the receiver."""
+    sides = check_pair(mini_program, "MiniWSO", "MiniWS", "wso-ws")
+    for pc, method in zip(sides, ("ping", "pong")):
+        config, env_left, alloc = interaction._start(pc)
+        consumes = _consumes(pc, config, env_left, alloc)
+        assert [step.key() for step, _nxt in consumes] == [("consume-2", method)]
+        [(step, after)] = consumes
+        assert _consumes(pc, after, env_left, alloc) == []
+
+        bag = (step.payload, step.payload)
+        offered = interaction._consume_edges(pc, config, bag)
+        assert [s.key() for s, _bag, _nxt in offered] == [("consume-2", method)]
+        assert interaction._consume_edges(pc, offered[0][2], bag) == []
 
 
 def _moves_text(edges):
