@@ -25,6 +25,7 @@ from .terms import (
     Configuration,
     Event,
     EventMessage,
+    Fragment,
     ProcessingState,
     Record,
     blocked,
@@ -286,6 +287,88 @@ def apply_instance(
     raise AbwsclError(f"unknown rule id {rid!r}")
 
 
+def _effect_key(top: Fragment, inst: RuleInstance):
+    """Everything the instance's rule reads, or None for a rule that reads
+    more: the create rules draw on the allocator and check freshness
+    against every name in use.  A send's route is already in its id."""
+    rid = inst.rule_id
+    if rid in ("SendIn", "SendOut"):
+        return rid, inst.payload
+    if rid == "Out":
+        return rid, inst.payload, top.restriction, members(top)
+    if rid == "Request":
+        site = inst.subject
+    elif rid in ("Compute", "ReadyDeliver", "SetPartner"):
+        site = inst.subject.dest
+    else:
+        return None
+    actor = top.actor(site)
+    return rid, inst.payload, actor.canon() if actor is not None else None
+
+
+def _effect(before: Fragment, after: Fragment, subject):
+    """What one step did: (the actor it replaced, or None; events and
+    messages it consumed besides its subject; those it produced; its
+    restriction, or "keep")."""
+    actor = next((a for a, b in zip(after.actors, before.actors) if a is not b), None)
+
+    def diff(old, new):
+        added, gone = list(new), []
+        for m in old:
+            if m in added:
+                added.remove(m)
+            else:
+                gone.append(m)
+        if subject in gone:
+            gone.remove(subject)
+        return tuple(gone), tuple(added)
+
+    restriction = "keep" if after.restriction is before.restriction else after.restriction
+    events, apps = diff(before.events, after.events), diff(before.apps, after.apps)
+    return (actor,) + events + apps + (restriction,)
+
+
+def apply_cached(
+    program: Program,
+    config: Configuration,
+    inst: RuleInstance,
+    alloc: AddressAllocator,
+    effects: dict,
+) -> Configuration:
+    """apply_instance's configuration, spliced from the effect the same
+    rule had wherever it read the same terms.
+
+    `effects` is the caller's, one per search: a miss applies the rule and
+    records its effect; a hit removes the instance's own subject, raising
+    NoPendingMessage when it is not pending, as the rule would, and adds
+    the recorded terms, whose memoised texts come along."""
+    top = config.top
+    key = _effect_key(top, inst)
+    effect = effects.get(key)  # None, the create rules' key, is never stored
+    if effect is None:
+        nxt = apply_instance(program, config, inst, alloc)[0]
+        if key is not None:
+            effects[key] = _effect(top, nxt.top, inst.subject)
+        return nxt
+    actor, ev_gone, ev_new, app_gone, app_new, restriction = effect
+    events, apps, subject = top.events, top.apps, inst.subject
+    if isinstance(subject, EventMessage):
+        events = rules._without(events, subject)
+    elif isinstance(subject, AppMessage):
+        apps = rules._without(apps, subject)
+    for m in ev_gone:
+        events = rules._without(events, m)
+    for m in app_gone:
+        apps = rules._without(apps, m)
+    return rules._rebuild(
+        config,
+        actors=None if actor is None else rules._swap_actor(top.actors, actor),
+        events=events + ev_new,
+        apps=apps + app_new,
+        restriction=restriction,
+    )
+
+
 # -- schedulers ----------------------------------------------------------------
 
 
@@ -445,7 +528,7 @@ def explore(
 
     def key(node):
         cfg, fds, labels = node
-        return (cfg.canon(), tuple(f.canon() for f in fds), labels)
+        return (cfg.top.key(), tuple(f.canon() for f in fds), labels)
 
     search((config, tuple(feeds), ()), key, successors, phase="explore", depth=depth)
     return frozenset(configs), frozenset(labels_seen)

@@ -31,7 +31,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import rules
 from . import syntax as ast
-from .engine import apply_instance, enabled_rules, search
+from .engine import apply_cached, enabled_rules, search
 from .errors import (
     BoundaryMismatch,
     NotABoundaryEvent,
@@ -511,17 +511,19 @@ def _ample(pc: PartialConfiguration, config, insts):
     return None
 
 
-def _edges(pc: PartialConfiguration, config, env_left, alloc, *, free_peer=True, reduced=True):
+def _edges(pc: PartialConfiguration, config, env_left, alloc, effects, *, free_peer=True,
+           reduced=True):
     """Moves from here: (step, ejected message or None, next state).
 
     With reduction on, one commuting silent move is taken alone; the full
-    fan-out only opens where ordering can be heard at the boundary."""
+    fan-out only opens where ordering can be heard at the boundary.  Each
+    successor comes from `effects`, the search's cache of rule effects."""
     insts = enabled_rules(pc.program, config)
     if reduced:
         inst = _ample(pc, config, insts)
         if inst is not None:
             a2 = alloc.clone()
-            nxt = apply_instance(pc.program, config, inst, a2)[0]
+            nxt = apply_cached(pc.program, config, inst, a2, effects)
             am = inst.subject if inst.rule_id == "Out" else None
             return [(silent(pc.boundary), am, nxt, env_left, a2)], True
     moves = []
@@ -531,7 +533,7 @@ def _edges(pc: PartialConfiguration, config, env_left, alloc, *, free_peer=True,
             continue  # another copy of the same message: the same successor
         prev = inst
         a2 = alloc.clone()
-        nxt = apply_instance(pc.program, config, inst, a2)[0]
+        nxt = apply_cached(pc.program, config, inst, a2, effects)
         if inst.rule_id == "Out":
             am = inst.subject
             if _emit_visible(pc, am):
@@ -558,8 +560,8 @@ def _start(pc: PartialConfiguration):
     return (pc.config, frozenset(range(len(pc.env_feeds))), pc.alloc.clone())
 
 
-def _state_key(config: Configuration, env_left) -> Tuple[str, FrozenSet[int]]:
-    return (config.canon(), env_left)
+def _state_key(config: Configuration, env_left) -> Tuple[tuple, FrozenSet[int]]:
+    return (config.top.key(), env_left)
 
 
 def interaction_semantics(
@@ -572,10 +574,11 @@ def interaction_semantics(
     next visible step; a sequence never ends on a marker.
     """
     found: Set[Tuple[InteractionStep, ...]] = {()}
+    effects: dict = {}
 
     def successors(node, visible):
         config, env_left, alloc, steps, quiet = node
-        moves, _det = _edges(pc, config, env_left, alloc, reduced=False)
+        moves, _det = _edges(pc, config, env_left, alloc, effects, reduced=False)
         for step, _am, nxt, env2, a2 in moves:
             if not step.visible:
                 yield (nxt, env2, a2, steps, True), visible
@@ -603,11 +606,12 @@ def admits_sequence(
     order, with any amount of internal work in between."""
     want = [s.key() for s in seq if s.visible]
     done = not want
+    effects: dict = {}
 
     def successors(node, idx):
         nonlocal done
         config, env_left, alloc, _idx = node
-        moves, _det = _edges(pc, config, env_left, alloc)
+        moves, _det = _edges(pc, config, env_left, alloc, effects)
         for step, _am, nxt, env2, a2 in moves:
             if not step.visible:
                 yield (nxt, env2, a2, idx), idx
@@ -625,14 +629,14 @@ def admits_sequence(
 
 
 def _solo_labels(
-    pc: PartialConfiguration, depth: int, *, max_states: int = _MAX_STATES
+    pc: PartialConfiguration, depth: int, effects: dict, *, max_states: int = _MAX_STATES
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
     """Visible step keys reachable alone within depth, and states seen."""
     labels: Set[Tuple[str, str]] = set()
 
     def successors(node, count):
         config, env_left, alloc = node
-        moves, _det = _edges(pc, config, env_left, alloc)
+        moves, _det = _edges(pc, config, env_left, alloc, effects)
         for step, _am, nxt, env2, a2 in moves:
             if not step.visible:
                 yield (nxt, env2, a2), count
@@ -689,7 +693,7 @@ def _consume_edges(pc: PartialConfiguration, config, bag: Tuple[Record, ...]):
     return out
 
 
-def _side_edges(pc: PartialConfiguration, memo, config, env_left, alloc):
+def _side_edges(pc: PartialConfiguration, memo, effects, config, env_left, alloc):
     """One side's product moves, computed once per state key.
 
     Exact because a side's moves depend on its key alone: the allocator,
@@ -698,7 +702,7 @@ def _side_edges(pc: PartialConfiguration, memo, config, env_left, alloc):
     key = _state_key(config, env_left)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _edges(pc, config, env_left, alloc, free_peer=False)
+        hit = memo[key] = _edges(pc, config, env_left, alloc, effects, free_peer=False)
     return hit
 
 
@@ -708,21 +712,22 @@ def _sent(pc: PartialConfiguration, am: Optional[AppMessage], bag: Tuple[Record,
     return bag + (am.value,) if am is not None and am.dest == pc.gate else bag
 
 
-def _product_edges(pc_a, pc_m, state, memo_a, memo_m):
+def _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m):
     """Moves of the two-sided product; consumes draw from the bags.
 
     A commuting silent move on either side preempts the fan-out exactly
     as it does solo: it touches nothing the other side can read.  Each
-    side's moves come from its memo, one per `compatible` call."""
+    side's moves come from its memo and its rule effects, one of each per
+    `compatible` call."""
     cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma, al_a, al_m = state
-    edges_a, det_a = _side_edges(pc_a, memo_a, cfg_a, env_a, al_a)
+    edges_a, det_a = _side_edges(pc_a, memo_a, effects_a, cfg_a, env_a, al_a)
     moves = [
         ("A", step, (nxt, cfg_m, env2, env_m, _sent(pc_a, am, bag_am), bag_ma, a2, al_m))
         for step, am, nxt, env2, a2 in edges_a
     ]
     if det_a:
         return moves
-    edges_m, det_m = _side_edges(pc_m, memo_m, cfg_m, env_m, al_m)
+    edges_m, det_m = _side_edges(pc_m, memo_m, effects_m, cfg_m, env_m, al_m)
     own_m = [
         ("M", step, (cfg_a, nxt, env_a, env2, bag_am, _sent(pc_m, am, bag_ma), al_a, a2))
         for step, am, nxt, env2, a2 in edges_m
@@ -739,7 +744,7 @@ def _product_edges(pc_a, pc_m, state, memo_a, memo_m):
 
 def _product_key(state) -> Tuple:
     cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma, _al_a, _al_m = state
-    return (cfg_a.canon(), cfg_m.canon(), env_a, env_m, _bag_key(bag_am), _bag_key(bag_ma))
+    return (cfg_a.top.key(), cfg_m.top.key(), env_a, env_m, _bag_key(bag_am), _bag_key(bag_ma))
 
 
 def _product_start(pc_a, pc_m):
@@ -748,15 +753,16 @@ def _product_start(pc_a, pc_m):
     return (config_a, config_m, env_a, env_m, (), (), alloc_a, alloc_m)
 
 
-def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, *, max_states):
+def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, effects_a,
+                    effects_m, *, max_states):
     """A deterministic product run projected on the failing side, with
-    the unmatched step appended; the product's memos supply the moves."""
+    the unmatched step appended; the product's caches supply the moves."""
     state = _product_start(pc_a, pc_m)
     history: List[Tuple[str, InteractionStep]] = []
     for _ in range(max_states):
         if sum(1 for _s, st in history if st.visible) >= depth:
             break
-        moves = _product_edges(pc_a, pc_m, state, memo_a, memo_m)
+        moves = _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m)
         if not moves:
             break
         moves.sort(key=lambda m: (m[1].visible, m[0], m[1].label()))
@@ -801,8 +807,11 @@ def compatible(
         )
     if depth is None:
         depth = default_depth(pc_a, pc_m)
-    req_a, n_a = _solo_labels(pc_a, depth, max_states=max_states)
-    req_m, n_m = _solo_labels(pc_m, depth, max_states=max_states)
+    # each side's rule effects serve all its phases in this check
+    effects_a: dict = {}
+    effects_m: dict = {}
+    req_a, n_a = _solo_labels(pc_a, depth, effects_a, max_states=max_states)
+    req_m, n_m = _solo_labels(pc_m, depth, effects_m, max_states=max_states)
     got_a: Set[Tuple[str, str]] = set()
     got_m: Set[Tuple[str, str]] = set()
     # product moves only: keeping the solo phases' moves as well would
@@ -811,7 +820,8 @@ def compatible(
     memo_m: dict = {}
 
     def successors(state, count):
-        for tag, step, nxt in _product_edges(pc_a, pc_m, state, memo_a, memo_m):
+        moves = _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m)
+        for tag, step, nxt in moves:
             if not step.visible:
                 yield nxt, count
             elif count < depth:
@@ -836,7 +846,10 @@ def compatible(
     )
     side, shape, text = missing[0]
     step = _missing_to_step(pc_a if side == "A" else pc_m, shape, text)
-    witness = _greedy_witness(pc_a, pc_m, depth, side, step, memo_a, memo_m, max_states=max_states)
+    witness = _greedy_witness(
+        pc_a, pc_m, depth, side, step, memo_a, memo_m, effects_a, effects_m,
+        max_states=max_states,
+    )
     labels = tuple(f"{'left' if s == 'A' else 'right'}:{sh}({tx})" for s, sh, tx in missing)
     return Verdict(
         kind="Incompatible", depth=depth, explored=explored, witness=witness, missing=labels

@@ -354,6 +354,21 @@ class Fragment:
                 return a
         return None
 
+    def key(self) -> tuple:
+        """Identity for search: equal exactly when the canon texts are,
+        built from member texts already memoised on shared terms."""
+        memo = self.__dict__.get("_key")
+        if memo is None:
+            r = self.restriction
+            memo = (
+                None if r is None else tuple(sorted([a.id for a in r])),
+                tuple([a.canon() for a in self.actors]),
+                tuple(map(_CANON, self.events)),
+                tuple(map(_CANON, self.apps)),
+            )
+            object.__setattr__(self, "_key", memo)
+        return memo
+
     def canon(self) -> str:
         memo = self.__dict__.get("_canon")
         if memo is not None:

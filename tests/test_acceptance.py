@@ -28,11 +28,13 @@ from abwscl.validate import validate
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 
-CORPUS_PAIRS = [
-    ("UserAgentWSO", "UserAgentWS", "wso-ws"),
-    ("UserAgentWS", "BookStoreWS", "ws-ws"),
-    ("UserAgentWSO", "BookStoreWSO", "wso-wso"),
-]
+# pair -> states a check explores: a reference every optimisation keeps
+CORPUS_PAIRS = {
+    ("UserAgentWSO", "UserAgentWS", "wso-ws"): 26_411,
+    ("BookStoreWSO", "BookStoreWS", "wso-ws"): 18_092,
+    ("UserAgentWS", "BookStoreWS", "ws-ws"): 2_035,
+    ("UserAgentWSO", "BookStoreWSO", "wso-wso"): 35_576,
+}
 
 
 def test_bundled_composition_runs_to_quiescence(program):
@@ -47,12 +49,13 @@ def test_bundled_composition_runs_to_quiescence(program):
 
 
 def test_corpus_pairs_compose_within_budget(program):
-    for name_a, name_m, boundary in CORPUS_PAIRS:
+    for (name_a, name_m, boundary), explored in CORPUS_PAIRS.items():
         pc_a, pc_m = interaction.check_pair(program, name_a, name_m, boundary)
         started = time.perf_counter()
         verdict = interaction.composable(pc_a, pc_m)
         elapsed = time.perf_counter() - started
         assert verdict.kind == "Composable", (name_a, name_m, verdict)
+        assert verdict.explored == explored, (name_a, name_m, verdict.explored)
         assert elapsed < 5.0, (name_a, name_m, elapsed)
 
 
@@ -68,8 +71,15 @@ def test_corpus_pairs_compose_within_budget(program):
 ORACLE_CAP = 2_000_000
 
 
-def _side_moves(pc, config, env_left, alloc, *, peer_free):
-    moves = []
+def _side_moves(pc, config, env_left, alloc, *, peer_free, memo):
+    """A side's moves, computed once per (side, configuration text, feeds
+    left, peer mode) in one verdict.  Exact because created actors are
+    never removed and keep their `label#n` ids, so the configuration
+    fixes the allocator, the moves' only other input."""
+    key = (pc, config.canon(), env_left, peer_free)
+    if key in memo:
+        return memo[key]
+    moves = memo[key] = []
     for inst in engine.enabled_rules(pc.program, config):
         a2 = alloc.clone()
         nxt, _produced, artifacts = engine.apply_instance(pc.program, config, inst, a2)
@@ -96,7 +106,7 @@ def _side_moves(pc, config, env_left, alloc, *, peer_free):
     return moves
 
 
-def _oracle_solo(pc, depth):
+def _oracle_solo(pc, depth, memo):
     labels = set()
     seen = set()
     queue = deque([(pc.config, frozenset(range(len(pc.env_feeds))), pc.alloc.clone(), 0)])
@@ -112,7 +122,7 @@ def _oracle_solo(pc, depth):
         visits += 1
         assert visits <= ORACLE_CAP
         for vis, _am, nxt, env2, a2 in _side_moves(
-            pc, config, env_left, alloc, peer_free=True
+            pc, config, env_left, alloc, peer_free=True, memo=memo
         ):
             if vis is not None:
                 labels.add(vis)
@@ -126,7 +136,7 @@ def _bag_key(bag):
     return tuple(sorted(canon_value(c) for c in bag))
 
 
-def _oracle_product(pc_a, pc_m, depth):
+def _oracle_product(pc_a, pc_m, depth, memo):
     got_a, got_m = set(), set()
     start = (
         pc_a.config, pc_m.config,
@@ -152,12 +162,12 @@ def _oracle_product(pc_a, pc_m, depth):
         assert visits <= ORACLE_CAP
         nexts = []
         for vis, am, nxt, env2, a2 in _side_moves(
-            pc_a, cfg_a, env_a, al_a, peer_free=False
+            pc_a, cfg_a, env_a, al_a, peer_free=False, memo=memo
         ):
             b2 = bag_am + (am.value,) if (am is not None and am.dest == pc_a.gate) else bag_am
             nexts.append(("A", vis, (nxt, cfg_m, env2, env_m, b2, bag_ma, a2, al_m)))
         for vis, am, nxt, env2, a2 in _side_moves(
-            pc_m, cfg_m, env_m, al_m, peer_free=False
+            pc_m, cfg_m, env_m, al_m, peer_free=False, memo=memo
         ):
             b2 = bag_ma + (am.value,) if (am is not None and am.dest == pc_m.gate) else bag_ma
             nexts.append(("M", vis, (cfg_a, nxt, env_a, env2, bag_am, b2, al_a, a2)))
@@ -188,9 +198,10 @@ def _oracle_product(pc_a, pc_m, depth):
 
 def _oracle_verdict(program, name_a, name_m, boundary, solo_depth, product_depth):
     pc_a, pc_m = interaction.check_pair(program, name_a, name_m, boundary)
-    req_a = _oracle_solo(pc_a, solo_depth)
-    req_m = _oracle_solo(pc_m, solo_depth)
-    got_a, got_m = _oracle_product(pc_a, pc_m, product_depth)
+    memo = {}
+    req_a = _oracle_solo(pc_a, solo_depth, memo)
+    req_m = _oracle_solo(pc_m, solo_depth, memo)
+    got_a, got_m = _oracle_product(pc_a, pc_m, product_depth, memo)
     missing = sorted(
         [("A",) + k for k in req_a - got_a] + [("M",) + k for k in req_m - got_m]
     )
@@ -206,6 +217,14 @@ def test_dropped_send_breaks_the_bookstore_pair(program, mutant_program, mini_pr
     assert verdict.missing == ("right:consume-2(receivePB)",)
     assert verdict.witness is not None
     assert verdict.witness[-1].key() == ("consume-2", "receivePB")
+    assert verdict.explored == 5_264
+    assert verdict.witness.labels() == (
+        "ws-wso-emit-2(BookStoreWSO,BookStoreWS,payB)",
+        "ws-wso-emit-2(BookStoreWSO,BookStoreWS,requestLB)",
+        "ws-wso-consume-2(BookStoreWSO,BookStoreWS,receiveLB)",
+        "ws-wso-emit-2(BookStoreWSO,BookStoreWS,sendSB)",
+        "ws-wso-consume-2(BookStoreWSO,BookStoreWS,receivePB)",
+    )
     assert interaction.admits_sequence(pc_m, verdict.witness)
 
     # the oracle must agree, and for the right reason: the interface

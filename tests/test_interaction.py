@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abwscl import interaction
-from abwscl.errors import BoundaryMismatch, SilentDivergence, UnknownName
+from abwscl import engine, interaction
+from abwscl.errors import BoundaryMismatch, NoPendingMessage, SilentDivergence, UnknownName
 from abwscl.interaction import (
     BOUNDARIES,
     InteractionSequence,
@@ -149,11 +149,19 @@ def test_ws_ws_witness_replays_on_the_failing_side(request_lb_mutant_program):
     verdict = composable(pc_a, pc_m)
     assert verdict.kind == "Incompatible"
     assert verdict.missing == ("right:consume-2(requestLB)",)
+    assert verdict.explored == 4_244
+    assert verdict.witness.labels() == (
+        "ws-ws-consume-2(UserAgentWS,BookStoreWS,payB)",
+        "ws-ws-consume-2(UserAgentWS,BookStoreWS,sendSB)",
+        "ws-ws-emit-2(UserAgentWS,BookStoreWS,receiveLB)",
+        "ws-ws-emit-2(UserAgentWS,BookStoreWS,receivePB)",
+        "ws-ws-consume-2(UserAgentWS,BookStoreWS,requestLB)",
+    )
     assert admits_sequence(pc_m, verdict.witness)
 
 
 def _consumes(pc, config, env_left, alloc):
-    moves, _det = interaction._edges(pc, config, env_left, alloc, reduced=False)
+    moves, _det = interaction._edges(pc, config, env_left, alloc, {}, reduced=False)
     return [(step, nxt) for step, _am, nxt, _env, _a in moves if step.shape == "consume-2"]
 
 
@@ -188,9 +196,9 @@ def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_prog
     expanded = []
     product_edges = interaction._product_edges
 
-    def recording(pc_a, pc_m, state, memo_a, memo_m):
+    def recording(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m):
         expanded.append((state, memo_a, memo_m))
-        return product_edges(pc_a, pc_m, state, memo_a, memo_m)
+        return product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m)
 
     monkeypatch.setattr(interaction, "_product_edges", recording)
     for program, pair in [
@@ -209,8 +217,57 @@ def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_prog
                 cached_m = memo_m[interaction._state_key(cfg_m, env_m)]
                 sides.append((pc_m, cached_m, cfg_m, env_m, al_m))
             for pc, cached, cfg, env, alloc in sides:
-                fresh = interaction._edges(pc, cfg, env, alloc, free_peer=False)
+                fresh = interaction._edges(pc, cfg, env, alloc, {}, free_peer=False)
                 assert _moves_text(cached) == _moves_text(fresh)
+
+
+def test_cached_successors_match_fresh_rule_applications(
+    monkeypatch, program, mutant_program, mini_program
+):
+    """Every successor a check splices from its rule effects is the one
+    the rule builds afresh, and a consumed subject is not consumed twice."""
+    cached = interaction.apply_cached
+    tally = {"hits": 0, "stale hits": 0}
+
+    def checked(prog, config, inst, alloc, effects):
+        fresh = engine.apply_instance(prog, config, inst, alloc.clone())[0]
+        hit = engine._effect_key(config.top, inst) in effects
+        got = cached(prog, config, inst, alloc, effects)
+        assert got.top.key() == fresh.top.key()
+        assert got.canon() == fresh.canon()
+        tally["hits"] += hit
+        pending = got.top.events + got.top.apps
+        if inst.rule_id in ("Out", "Compute", "ReadyDeliver") and inst.subject not in pending:
+            tally["stale hits"] += engine._effect_key(got.top, inst) in effects
+            with pytest.raises(NoPendingMessage):
+                cached(prog, got, inst, alloc.clone(), effects)
+        return got
+
+    monkeypatch.setattr(interaction, "apply_cached", checked)
+    for prog, pair, boundary in [
+        (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
+        (mutant_program, ("BookStoreWSO", "BookStoreWS"), "wso-ws"),
+        (program, ("UserAgentWS", "BookStoreWS"), "ws-ws"),
+    ]:
+        tally.update(hits=0, **{"stale hits": 0})
+        composable(*check_pair(prog, *pair, boundary))
+        assert tally["hits"] > 0 and tally["stale hits"] > 0, (pair, tally)
+
+
+def test_state_keys_agree_with_canon_text(monkeypatch, program):
+    """Over every state a ws-ws check keys, solo and product, two
+    configurations share a key exactly when they share their text."""
+    seen = set()
+    state_key = interaction._state_key
+
+    def recording(config, env_left):
+        seen.add((config.top.key(), config.canon()))
+        return state_key(config, env_left)
+
+    monkeypatch.setattr(interaction, "_state_key", recording)
+    composable(*check_pair(program, "UserAgentWS", "BookStoreWS", "ws-ws"))
+    assert len(seen) > 1000
+    assert len({k for k, _c in seen}) == len({c for _k, c in seen}) == len(seen)
 
 
 def test_shared_members_preempt_compatibility(mini_program):

@@ -94,6 +94,19 @@ def test_fragment_make_normalizes_order():
     assert f1.canon() == f2.canon()
     assert f1 == f2
 
+    c = make_actor("c")
+    apps = (AppMessage(a.addr, call_record("m", ())), AppMessage(b.addr, 1, src=c.addr))
+    first = Fragment.make((a, b, c), (e1, e2), apps, {a.addr, b.addr})
+    for actors, events, msgs in itertools.product(
+        itertools.permutations((a, b, c)), itertools.permutations((e1, e2)),
+        itertools.permutations(apps),
+    ):
+        f = Fragment.make(actors, events, msgs, [b.addr, a.addr])
+        assert f.key() == first.key()
+    # the restriction is part of the key: absent, empty and named all differ
+    keys = {Fragment.make((a,), restriction=r).key() for r in (None, (), (a.addr,))}
+    assert len(keys) == 3
+
 
 def test_receptionists_default_to_members():
     a, b = make_actor("a"), make_actor("b")
