@@ -133,14 +133,8 @@ def _deliverable(program: Program, config: Configuration, am: AppMessage) -> boo
         return False
 
 
-def _request_ready(program: Program, actor) -> bool:
-    """Can step_request fire for this running actor?"""
-    queue = actor.state.queue
-    if not queue:
-        return True
-    head = queue[0]
-    if not isinstance(head, (ast.SendAct, ast.SetPartnerCall)):
-        return False
+def _target_bound(program: Program, actor, head) -> bool:
+    """Does the send or setPartner at the head of the queue name an address?"""
     try:
         target = eval_in_state(program, actor, ast.Name(ident=head.target))
     except AbwsclError:
@@ -161,12 +155,14 @@ def enabled_rules(
         if a.p is not running:
             continue
         queue = a.state.queue
-        if not queue or isinstance(queue[0], (ast.SendAct, ast.SetPartnerCall)):
-            if _request_ready(program, a):
-                payload = queue[0].canon() if queue else "ready"
-                insts.append(RuleInstance("Request", a.addr.id, payload, a.addr))
+        if not queue:
+            insts.append(RuleInstance("Request", a.addr.id, "ready", a.addr))
             continue
         head = queue[0]
+        if isinstance(head, (ast.SendAct, ast.SetPartnerCall)):
+            if _target_bound(program, a, head):
+                insts.append(RuleInstance("Request", a.addr.id, head.canon(), a.addr))
+            continue
         if not isinstance(head, ast.CreateAct) or not program.has(head.behavior):
             continue
         created = program.definition(head.behavior).kind
@@ -235,6 +231,15 @@ def enabled_rules(
 # -- application ---------------------------------------------------------------
 
 
+def allocator_for(config: Configuration) -> AddressAllocator:
+    """The allocator a create step in this configuration draws from.
+
+    Every address an allocator mints becomes an actor, and actors are
+    never removed, so the next counter is the one past every `label#n`
+    id among the actors."""
+    return AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
+
+
 def apply_instance(
     program: Program,
     config: Configuration,
@@ -289,7 +294,7 @@ def apply_instance(
 
 def _effect_key(top: Fragment, inst: RuleInstance):
     """Everything the instance's rule reads, or None for a rule that reads
-    more: the create rules draw on the allocator and check freshness
+    more: the create rules draw on the actor ids and check freshness
     against every name in use.  A send's route is already in its id."""
     rid = inst.rule_id
     if rid in ("SendIn", "SendOut"):
@@ -332,7 +337,6 @@ def apply_cached(
     program: Program,
     config: Configuration,
     inst: RuleInstance,
-    alloc: AddressAllocator,
     effects: dict,
 ) -> Configuration:
     """apply_instance's configuration, spliced from the effect the same
@@ -346,7 +350,7 @@ def apply_cached(
     key = _effect_key(top, inst)
     effect = effects.get(key)  # None, the create rules' key, is never stored
     if effect is None:
-        nxt = apply_instance(program, config, inst, alloc)[0]
+        nxt = apply_instance(program, config, inst, allocator_for(config))[0]
         if key is not None:
             effects[key] = _effect(top, nxt.top, inst.subject)
         return nxt
@@ -466,9 +470,7 @@ def run(
     if sched is None:
         sched = FairRoundRobin(seed)
     if alloc is None:
-        alloc = AddressAllocator().advance_past(
-            a.addr.id for a in config.top.actors
-        )
+        alloc = allocator_for(config)
     remaining = tuple(feeds)
     steps: List[StepRecord] = []
     cur = config
@@ -498,20 +500,17 @@ def explore(
     config: Configuration,
     depth: int,
     feeds: Sequence[AppMessage] = (),
-    alloc: Optional[AddressAllocator] = None,
 ) -> Tuple[frozenset, frozenset]:
     """Breadth-first closure over every interleaving, `depth` steps deep.
 
     Returns (reachable configuration canons, boundary-label sequences).
     The label set is prefix-closed: every visited path contributes the
-    boundary crossings seen so far.
+    boundary crossings seen so far.  A create step mints the addresses
+    a run through the same steps would.
     """
-    if alloc is None:
-        alloc = AddressAllocator().advance_past(
-            a.addr.id for a in config.top.actors
-        )
     configs = set()
     labels_seen = set()
+    effects: dict = {}
 
     def successors(node, used):
         cfg, fds, labels = node
@@ -520,7 +519,7 @@ def explore(
         if used >= depth:
             return
         for inst in enabled_rules(program, cfg, feeds=fds):
-            cfg2 = apply_instance(program, cfg, inst, alloc.clone())[0]
+            cfg2 = apply_cached(program, cfg, inst, effects)
             fds2 = _without_feed(fds, inst) if inst.rule_id == "In" else fds
             label = inst.boundary_label()
             labels2 = labels if label is None else labels + (label,)

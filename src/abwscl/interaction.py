@@ -24,7 +24,6 @@ silently, once each, so the conversation is self-contained.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -193,7 +192,6 @@ class PartialConfiguration:
     gate: Address
     peer_feeds: Tuple[AppMessage, ...] = ()
     env_feeds: Tuple[AppMessage, ...] = ()
-    alloc: AddressAllocator = dataclasses.field(default_factory=AddressAllocator)
 
     def __post_init__(self):
         mem = members(self.config.top)
@@ -357,10 +355,9 @@ def wso_side(
         raise NotAWS(f"{ws_def.name} is a {ws_def.kind}, not a WS")
     anchor = Address(wso_name, "WSO")
     gate = Address(ws_def.name, "WS")
-    alloc = AddressAllocator()
     params = d.init.params if d.init else ()
     args = [gate if ptype == "WS" else _DEFAULTS.get(ptype) for ptype, _pname in params]
-    actor = instantiate(program, wso_name, args, alloc, addr=anchor)
+    actor = instantiate(program, wso_name, args, AddressAllocator(), addr=anchor)
     events = (rules._ready_signal(actor),) if actor.p is ProcessingState.READY else ()
     fragment = restrict(Fragment.make(actors=(actor,), events=events), {anchor})
     peer = Address(far_wso, "WSO") if far_wso else gate
@@ -374,7 +371,6 @@ def wso_side(
         gate=gate,
         peer_feeds=_feed_calls(ws_def, _link_names(ws_def, "WSO"), d, anchor, gate),
         env_feeds=(),
-        alloc=alloc,
     )
 
 
@@ -402,9 +398,8 @@ def ws_side(
     anchor = Address(ws_name, "WS")
     owner = Address(wso_name or f"{ws_name}-owner", "WSO")
     partner = Address(partner_name or f"{ws_name}-partner", "WS")
-    alloc = AddressAllocator()
     args = [_DEFAULTS.get(ptype) for ptype, _pname in (d.init.params if d.init else ())]
-    actor = instantiate(program, ws_name, args, alloc, addr=anchor)
+    actor = instantiate(program, ws_name, args, AddressAllocator(), addr=anchor)
     # creation and wiring happened elsewhere: drop the birth body and
     # hand the service its references ready-made
     actor = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY,
@@ -436,7 +431,6 @@ def ws_side(
         gate=gate,
         peer_feeds=peer_feeds,
         env_feeds=env_feeds,
-        alloc=alloc,
     )
 
 
@@ -511,9 +505,10 @@ def _ample(pc: PartialConfiguration, config, insts):
     return None
 
 
-def _edges(pc: PartialConfiguration, config, env_left, alloc, effects, *, free_peer=True,
+def _edges(pc: PartialConfiguration, config, env_left, effects, *, free_peer=True,
            reduced=True):
-    """Moves from here: (step, ejected message or None, next state).
+    """Moves from here: (step, ejected message or None, next configuration,
+    next env_left).
 
     With reduction on, one commuting silent move is taken alone; the full
     fan-out only opens where ordering can be heard at the boundary.  Each
@@ -522,42 +517,40 @@ def _edges(pc: PartialConfiguration, config, env_left, alloc, effects, *, free_p
     if reduced:
         inst = _ample(pc, config, insts)
         if inst is not None:
-            a2 = alloc.clone()
-            nxt = apply_cached(pc.program, config, inst, a2, effects)
+            nxt = apply_cached(pc.program, config, inst, effects)
             am = inst.subject if inst.rule_id == "Out" else None
-            return [(silent(pc.boundary), am, nxt, env_left, a2)], True
+            return [(silent(pc.boundary), am, nxt, env_left)], True
     moves = []
     prev = None
     for inst in insts:
         if inst == prev:
             continue  # another copy of the same message: the same successor
         prev = inst
-        a2 = alloc.clone()
-        nxt = apply_cached(pc.program, config, inst, a2, effects)
+        nxt = apply_cached(pc.program, config, inst, effects)
         if inst.rule_id == "Out":
             am = inst.subject
             if _emit_visible(pc, am):
                 step = _classify_message(pc, am)
             else:
                 step = silent(pc.boundary)
-            moves.append((step, am, nxt, env_left, a2))
+            moves.append((step, am, nxt, env_left))
         else:
-            moves.append((silent(pc.boundary), None, nxt, env_left, a2))
+            moves.append((silent(pc.boundary), None, nxt, env_left))
     for i in sorted(env_left):
         feed = pc.env_feeds[i]
         nxt = rules.boundary_in(config, feed)
-        moves.append((silent(pc.boundary), None, nxt, env_left - {i}, alloc.clone()))
+        moves.append((silent(pc.boundary), None, nxt, env_left - {i}))
     if free_peer:
         for feed in pc.peer_feeds:
             arrival = _inject(pc, config, feed)
             if arrival is not None:
                 step, nxt = arrival
-                moves.append((step, None, nxt, env_left, alloc.clone()))
+                moves.append((step, None, nxt, env_left))
     return moves, False
 
 
 def _start(pc: PartialConfiguration):
-    return (pc.config, frozenset(range(len(pc.env_feeds))), pc.alloc.clone())
+    return (pc.config, frozenset(range(len(pc.env_feeds))))
 
 
 def _state_key(config: Configuration, env_left) -> Tuple[tuple, FrozenSet[int]]:
@@ -577,19 +570,19 @@ def interaction_semantics(
     effects: dict = {}
 
     def successors(node, visible):
-        config, env_left, alloc, steps, quiet = node
-        moves, _det = _edges(pc, config, env_left, alloc, effects, reduced=False)
-        for step, _am, nxt, env2, a2 in moves:
+        config, env_left, steps, quiet = node
+        moves, _det = _edges(pc, config, env_left, effects, reduced=False)
+        for step, _am, nxt, env2 in moves:
             if not step.visible:
-                yield (nxt, env2, a2, steps, True), visible
+                yield (nxt, env2, steps, True), visible
             elif visible < depth:
                 steps2 = steps + ((silent(pc.boundary),) if quiet else ()) + (step,)
                 found.add(steps2)
-                yield (nxt, env2, a2, steps2, False), visible + 1
+                yield (nxt, env2, steps2, False), visible + 1
 
     search(
         _start(pc) + ((), False),
-        lambda n: (_state_key(n[0], n[1]), n[3], n[4]),
+        lambda n: (_state_key(n[0], n[1]), n[2], n[3]),
         successors,
         phase="semantics", depth=depth, budget=max_states,
     )
@@ -610,18 +603,18 @@ def admits_sequence(
 
     def successors(node, idx):
         nonlocal done
-        config, env_left, alloc, _idx = node
-        moves, _det = _edges(pc, config, env_left, alloc, effects)
-        for step, _am, nxt, env2, a2 in moves:
+        config, env_left, _idx = node
+        moves, _det = _edges(pc, config, env_left, effects)
+        for step, _am, nxt, env2 in moves:
             if not step.visible:
-                yield (nxt, env2, a2, idx), idx
+                yield (nxt, env2, idx), idx
             elif step.key() == want[idx]:
                 done = done or idx + 1 == len(want)
-                yield (nxt, env2, a2, idx + 1), idx + 1
+                yield (nxt, env2, idx + 1), idx + 1
 
     search(
         _start(pc) + (0,),
-        lambda n: (_state_key(n[0], n[1]), n[3]),
+        lambda n: (_state_key(n[0], n[1]), n[2]),
         successors,
         phase="admits", depth=len(want), budget=max_states, stop=lambda: done,
     )
@@ -635,18 +628,18 @@ def _solo_labels(
     labels: Set[Tuple[str, str]] = set()
 
     def successors(node, count):
-        config, env_left, alloc = node
-        moves, _det = _edges(pc, config, env_left, alloc, effects)
-        for step, _am, nxt, env2, a2 in moves:
+        config, env_left = node
+        moves, _det = _edges(pc, config, env_left, effects)
+        for step, _am, nxt, env2 in moves:
             if not step.visible:
-                yield (nxt, env2, a2), count
+                yield (nxt, env2), count
             elif count < depth:
                 labels.add(step.key())
-                yield (nxt, env2, a2), count + 1
+                yield (nxt, env2), count + 1
 
     visits = search(
         _start(pc),
-        lambda n: _state_key(n[0], n[1]),
+        lambda n: _state_key(*n),
         successors,
         phase=f"solo {pc.behavior}", depth=depth, budget=max_states,
     )
@@ -693,16 +686,13 @@ def _consume_edges(pc: PartialConfiguration, config, bag: Tuple[Record, ...]):
     return out
 
 
-def _side_edges(pc: PartialConfiguration, memo, effects, config, env_left, alloc):
-    """One side's product moves, computed once per state key.
-
-    Exact because a side's moves depend on its key alone: the allocator,
-    their one other input, is fixed by the configuration, since created
-    actors are never removed and keep their `label#n` ids."""
+def _side_edges(pc: PartialConfiguration, memo, effects, config, env_left):
+    """One side's product moves, computed once per state key; exact
+    because the key is the whole state."""
     key = _state_key(config, env_left)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _edges(pc, config, env_left, alloc, effects, free_peer=False)
+        hit = memo[key] = _edges(pc, config, env_left, effects, free_peer=False)
     return hit
 
 
@@ -719,38 +709,38 @@ def _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m):
     as it does solo: it touches nothing the other side can read.  Each
     side's moves come from its memo and its rule effects, one of each per
     `compatible` call."""
-    cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma, al_a, al_m = state
-    edges_a, det_a = _side_edges(pc_a, memo_a, effects_a, cfg_a, env_a, al_a)
+    cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma = state
+    edges_a, det_a = _side_edges(pc_a, memo_a, effects_a, cfg_a, env_a)
     moves = [
-        ("A", step, (nxt, cfg_m, env2, env_m, _sent(pc_a, am, bag_am), bag_ma, a2, al_m))
-        for step, am, nxt, env2, a2 in edges_a
+        ("A", step, (nxt, cfg_m, env2, env_m, _sent(pc_a, am, bag_am), bag_ma))
+        for step, am, nxt, env2 in edges_a
     ]
     if det_a:
         return moves
-    edges_m, det_m = _side_edges(pc_m, memo_m, effects_m, cfg_m, env_m, al_m)
+    edges_m, det_m = _side_edges(pc_m, memo_m, effects_m, cfg_m, env_m)
     own_m = [
-        ("M", step, (cfg_a, nxt, env_a, env2, bag_am, _sent(pc_m, am, bag_ma), al_a, a2))
-        for step, am, nxt, env2, a2 in edges_m
+        ("M", step, (cfg_a, nxt, env_a, env2, bag_am, _sent(pc_m, am, bag_ma)))
+        for step, am, nxt, env2 in edges_m
     ]
     if det_m:
         return own_m
     moves += own_m
     for step, bag2, nxt in _consume_edges(pc_a, cfg_a, bag_ma):
-        moves.append(("A", step, (nxt, cfg_m, env_a, env_m, bag_am, bag2, al_a, al_m)))
+        moves.append(("A", step, (nxt, cfg_m, env_a, env_m, bag_am, bag2)))
     for step, bag2, nxt in _consume_edges(pc_m, cfg_m, bag_am):
-        moves.append(("M", step, (cfg_a, nxt, env_a, env_m, bag2, bag_ma, al_a, al_m)))
+        moves.append(("M", step, (cfg_a, nxt, env_a, env_m, bag2, bag_ma)))
     return moves
 
 
 def _product_key(state) -> Tuple:
-    cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma, _al_a, _al_m = state
+    cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma = state
     return (cfg_a.top.key(), cfg_m.top.key(), env_a, env_m, _bag_key(bag_am), _bag_key(bag_ma))
 
 
 def _product_start(pc_a, pc_m):
-    config_a, env_a, alloc_a = _start(pc_a)
-    config_m, env_m, alloc_m = _start(pc_m)
-    return (config_a, config_m, env_a, env_m, (), (), alloc_a, alloc_m)
+    config_a, env_a = _start(pc_a)
+    config_m, env_m = _start(pc_m)
+    return (config_a, config_m, env_a, env_m, (), ())
 
 
 def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, effects_a,

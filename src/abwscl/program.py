@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import syntax as ast
-from .errors import ArityMismatch, UnknownMethod, UnknownName
+from .errors import ArityMismatch, EvalTypeError, UnknownMethod, UnknownName
 from .parser import parse_program
 from .terms import (
     Address,
@@ -264,8 +264,6 @@ def guard_accepts(
         state = state.set(pname, v)
     value = eval_in_state(program, actor.evolve(state=state), m.guard)
     if not isinstance(value, bool):
-        from .errors import EvalTypeError
-
         raise EvalTypeError(f"guard of {actor.behavior}.{method_name} is not boolean")
     return value
 

@@ -387,9 +387,6 @@ class Fragment:
         return memo
 
 
-EMPTY = Fragment.make()
-
-
 def members(f: Fragment) -> frozenset:
     """Addresses of all actors, hidden or not; restriction is ignored."""
     memo = f.__dict__.get("_members")

@@ -71,6 +71,14 @@ def test_corpus_pairs_compose_within_budget(program):
 ORACLE_CAP = 2_000_000
 
 
+def _allocator(config):
+    """The oracle's own allocator for a start configuration: past every
+    counter its actors already use.  The oracle threads it along each
+    path rather than calling `engine.allocator_for`, so it shares no
+    derivation with the search it checks."""
+    return AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
+
+
 def _side_moves(pc, config, env_left, alloc, *, peer_free, memo):
     """A side's moves, computed once per (side, configuration text, feeds
     left, peer mode) in one verdict.  Exact because created actors are
@@ -109,7 +117,7 @@ def _side_moves(pc, config, env_left, alloc, *, peer_free, memo):
 def _oracle_solo(pc, depth, memo):
     labels = set()
     seen = set()
-    queue = deque([(pc.config, frozenset(range(len(pc.env_feeds))), pc.alloc.clone(), 0)])
+    queue = deque([(pc.config, frozenset(range(len(pc.env_feeds))), _allocator(pc.config), 0)])
     visits = 0
     while queue:
         config, env_left, alloc, used = queue.popleft()
@@ -141,7 +149,7 @@ def _oracle_product(pc_a, pc_m, depth, memo):
     start = (
         pc_a.config, pc_m.config,
         frozenset(range(len(pc_a.env_feeds))), frozenset(range(len(pc_m.env_feeds))),
-        (), (), pc_a.alloc.clone(), pc_m.alloc.clone(),
+        (), (), _allocator(pc_a.config), _allocator(pc_m.config),
     )
     seen = set()
     queue = deque([(start, 0)])
@@ -301,17 +309,18 @@ WS GateWS {
 
 
 def _enumerate_boundary_traces(program, config, depth, feeds):
-    """Level-by-level unfolding with no state sharing at all."""
-    base = AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
+    """Level-by-level unfolding with no state sharing at all; each path
+    threads its own allocator, as a run does."""
     configs = {config.canon()}
     labels = {()}
-    level = [(config, tuple(feeds), ())]
+    level = [(config, tuple(feeds), (), _allocator(config))]
     for _ in range(depth):
         grown = []
-        for cfg, fds, seq in level:
+        for cfg, fds, seq, alloc in level:
             for inst in engine.enabled_rules(program, cfg, feeds=fds):
+                alloc2 = alloc.clone()
                 cfg2, _produced, artifacts = engine.apply_instance(
-                    program, cfg, inst, base.clone()
+                    program, cfg, inst, alloc2
                 )
                 fds2, seq2 = fds, seq
                 if inst.rule_id == "In":
@@ -330,7 +339,7 @@ def _enumerate_boundary_traces(program, config, depth, feeds):
                             )
                 configs.add(cfg2.canon())
                 labels.add(seq2)
-                grown.append((cfg2, fds2, seq2))
+                grown.append((cfg2, fds2, seq2, alloc2))
         level = grown
     return frozenset(configs), frozenset(labels)
 
@@ -353,6 +362,11 @@ def test_exploration_matches_naive_enumeration(mini_program):
         assert got_configs == want_configs
         assert got_labels == want_labels
         assert len(got_labels) > 1
+    # a closed choreography, whose paths create actors at several steps
+    whole = initial_configuration(mini_program, "MiniWSC", AddressAllocator())
+    assert engine.explore(mini_program, whole, 8) == _enumerate_boundary_traces(
+        mini_program, whole, 8, ()
+    )
 
 
 def test_dual_is_an_involution_on_generated_sequences():

@@ -1,7 +1,13 @@
 import pytest
 
 from abwscl import interaction, run
-from abwscl.engine import apply_instance, enabled_rules, explore
+from abwscl.engine import (
+    FairRoundRobin,
+    allocator_for,
+    apply_instance,
+    enabled_rules,
+    explore,
+)
 from abwscl.errors import NoPendingMessage
 from abwscl.program import initial_configuration, instantiate
 from abwscl.rules import _ready_signal, boundary_in
@@ -136,7 +142,7 @@ def test_instances_consume_their_subject(program):
     side = interaction.wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
     part = run(
         program, side.config, max_steps=500,
-        feeds=side.peer_feeds, alloc=side.alloc.clone(),
+        feeds=side.peer_feeds,
     )
     stale = set()
     for trace in (whole, part):
@@ -162,15 +168,40 @@ def test_instances_consume_their_subject(program):
     assert stale == {"Out", "ReadyDeliver", "Compute"}
 
 
+def test_the_configuration_fixes_the_allocator(program):
+    """Every address a create step mints joins as an actor, so the
+    allocator derived from the actor ids mints what a threaded one would."""
+    alloc = AddressAllocator()
+    config = initial_configuration(program, "BuyingBookWSC", alloc)
+    sched = FairRoundRobin(0)
+    creates = set()
+    for step in range(500):
+        insts = enabled_rules(program, config)
+        if not insts:
+            break
+        inst = sched.choose(insts, step)
+        config = apply_instance(program, config, inst, alloc)[0]
+        if inst.rule_id.startswith("Create"):
+            creates.add(inst.rule_id)
+        assert allocator_for(config).fresh("AA") == alloc.clone().fresh("AA"), inst
+    assert not enabled_rules(program, config)
+    assert creates == {"CreateWSs", "CreateWSO", "CreateAA"}
+
+
 def test_explore_matches_single_runs(mini_program):
     alloc = AddressAllocator()
     config = initial_configuration(mini_program, "MiniWSC", alloc)
+    # every configuration a run passes through, fresh addresses included
+    reached, _labels = explore(mini_program, config, depth=8)
+    for seed in range(8):
+        prefix = run(mini_program, config, max_steps=8, seed=seed)
+        assert all(step.post.canon() in reached for step in prefix.steps)
     settled = run(mini_program, config, max_steps=200, seed=0, alloc=alloc).final
     driver = next(
         a.addr for a in settled.top.actors if a.behavior == "MiniDriverWS"
     )
     feed = AppMessage(driver, call_record("go", ()))
-    configs, labels = explore(mini_program, settled, depth=6, feeds=(feed,), alloc=alloc)
+    configs, labels = explore(mini_program, settled, depth=6, feeds=(feed,))
     assert settled.canon() in configs
     assert () in labels  # prefix closure includes the empty trace
     assert (("in", "go"),) in labels

@@ -160,9 +160,9 @@ def test_ws_ws_witness_replays_on_the_failing_side(request_lb_mutant_program):
     assert admits_sequence(pc_m, verdict.witness)
 
 
-def _consumes(pc, config, env_left, alloc):
-    moves, _det = interaction._edges(pc, config, env_left, alloc, {}, reduced=False)
-    return [(step, nxt) for step, _am, nxt, _env, _a in moves if step.shape == "consume-2"]
+def _consumes(pc, config, env_left):
+    moves, _det = interaction._edges(pc, config, env_left, {}, reduced=False)
+    return [(step, nxt) for step, _am, nxt, _env in moves if step.shape == "consume-2"]
 
 
 def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
@@ -170,11 +170,11 @@ def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
     while a call of the same method still waits at the receiver."""
     sides = check_pair(mini_program, "MiniWSO", "MiniWS", "wso-ws")
     for pc, method in zip(sides, ("ping", "pong")):
-        config, env_left, alloc = interaction._start(pc)
-        consumes = _consumes(pc, config, env_left, alloc)
+        config, env_left = interaction._start(pc)
+        consumes = _consumes(pc, config, env_left)
         assert [step.key() for step, _nxt in consumes] == [("consume-2", method)]
         [(step, after)] = consumes
-        assert _consumes(pc, after, env_left, alloc) == []
+        assert _consumes(pc, after, env_left) == []
 
         bag = (step.payload, step.payload)
         offered = interaction._consume_edges(pc, config, bag)
@@ -185,14 +185,14 @@ def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
 def _moves_text(edges):
     moves, det = edges
     return det, [
-        (step.label(), am.canon() if am is not None else None, nxt.canon(), env2, a2._n)
-        for step, am, nxt, env2, a2 in moves
+        (step.label(), am.canon() if am is not None else None, nxt.canon(), env2)
+        for step, am, nxt, env2 in moves
     ]
 
 
 def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_program):
     """A side's memoised moves are the ones its state would compute anew,
-    allocator included, at every state the product and witness expand."""
+    at every state the product and witness expand."""
     expanded = []
     product_edges = interaction._product_edges
 
@@ -210,14 +210,14 @@ def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_prog
         compatible(pc_a, pc_m)
         assert expanded
         for state, memo_a, memo_m in expanded:
-            cfg_a, cfg_m, env_a, env_m, _bag_am, _bag_ma, al_a, al_m = state
+            cfg_a, cfg_m, env_a, env_m, _bag_am, _bag_ma = state
             cached_a = memo_a[interaction._state_key(cfg_a, env_a)]
-            sides = [(pc_a, cached_a, cfg_a, env_a, al_a)]
+            sides = [(pc_a, cached_a, cfg_a, env_a)]
             if not cached_a[1]:  # a deterministic left move leaves the right unread
                 cached_m = memo_m[interaction._state_key(cfg_m, env_m)]
-                sides.append((pc_m, cached_m, cfg_m, env_m, al_m))
-            for pc, cached, cfg, env, alloc in sides:
-                fresh = interaction._edges(pc, cfg, env, alloc, {}, free_peer=False)
+                sides.append((pc_m, cached_m, cfg_m, env_m))
+            for pc, cached, cfg, env in sides:
+                fresh = interaction._edges(pc, cfg, env, {}, free_peer=False)
                 assert _moves_text(cached) == _moves_text(fresh)
 
 
@@ -229,10 +229,10 @@ def test_cached_successors_match_fresh_rule_applications(
     cached = interaction.apply_cached
     tally = {"hits": 0, "stale hits": 0}
 
-    def checked(prog, config, inst, alloc, effects):
-        fresh = engine.apply_instance(prog, config, inst, alloc.clone())[0]
+    def checked(prog, config, inst, effects):
+        fresh = engine.apply_instance(prog, config, inst, engine.allocator_for(config))[0]
         hit = engine._effect_key(config.top, inst) in effects
-        got = cached(prog, config, inst, alloc, effects)
+        got = cached(prog, config, inst, effects)
         assert got.top.key() == fresh.top.key()
         assert got.canon() == fresh.canon()
         tally["hits"] += hit
@@ -240,7 +240,7 @@ def test_cached_successors_match_fresh_rule_applications(
         if inst.rule_id in ("Out", "Compute", "ReadyDeliver") and inst.subject not in pending:
             tally["stale hits"] += engine._effect_key(got.top, inst) in effects
             with pytest.raises(NoPendingMessage):
-                cached(prog, got, inst, alloc.clone(), effects)
+                cached(prog, got, inst, effects)
         return got
 
     monkeypatch.setattr(interaction, "apply_cached", checked)

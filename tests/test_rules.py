@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from abwscl import Program, rules
+from abwscl.engine import enabled_rules
 from abwscl.errors import (
+    EvalTypeError,
     FreshnessViolation,
     GuardRejected,
     NoPendingMessage,
@@ -165,8 +167,7 @@ def test_sibling_sends_stay_inside_one_service(program):
         rules.aa_send_out(program, config, em)
 
 
-def test_delivery_defers_when_the_guard_refuses():
-    src = """
+GUARDED_SOURCE = """
 WSO GuardedWSO {
     WS ws-ref
     int n
@@ -180,7 +181,10 @@ WSO GuardedWSO {
     }
 }
 """
-    program = Program.parse(src)
+
+
+def guarded_call(program):
+    """GuardedWSO, ready, with one `maybe` call pending."""
     alloc = AddressAllocator()
     actor = instantiate(
         program, "GuardedWSO", [OUTSIDE], alloc, addr=Address("GuardedWSO", "WSO")
@@ -188,7 +192,13 @@ WSO GuardedWSO {
     config = Configuration(
         Fragment.make(actors=(actor,), events=(rules._ready_signal(actor),))
     )
-    config = rules.boundary_in(config, AppMessage(actor.addr, call_record("maybe", ())))
+    return rules.boundary_in(config, AppMessage(actor.addr, call_record("maybe", ())))
+
+
+def test_delivery_defers_when_the_guard_refuses():
+    program = Program.parse(GUARDED_SOURCE)
+    config = guarded_call(program)
+    actor = config.top.actors[0]
     with pytest.raises(GuardRejected):
         rules.deliver_ready(program, config, config.top.apps[0])
     # the refused call stays pending rather than vanishing
@@ -199,6 +209,14 @@ WSO GuardedWSO {
     after, _ = rules.deliver_ready(program, opened, opened.top.apps[0])
     assert after.top.apps == ()
     assert any(e.event is Event.DELIVER for e in after.top.events)
+
+    # a guard that is not boolean refuses delivery too
+    program = Program.parse(GUARDED_SOURCE.replace("if n > 0", "if n"))
+    config = guarded_call(program)
+    with pytest.raises(EvalTypeError):
+        rules.deliver_ready(program, config, config.top.apps[0])
+    assert not [i for i in enabled_rules(program, config) if i.rule_id == "ReadyDeliver"]
+    assert len(config.top.apps) == 1
 
 
 def test_delivery_needs_a_pending_message(mini_program):
