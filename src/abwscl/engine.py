@@ -120,9 +120,9 @@ class Trace:
 # -- enumeration --------------------------------------------------------------
 
 
-def _deliverable(program: Program, config: Configuration, am: AppMessage) -> bool:
-    actor = config.top.actor(am.dest)
-    if actor is None or rules._ready_signal(actor) not in config.top.events:
+def _deliverable(program: Program, top: Fragment, am: AppMessage) -> bool:
+    actor = top.actor(am.dest)
+    if actor is None or rules._ready_signal(actor) not in top.events:
         return False
     method = am.method
     if method is None:
@@ -142,14 +142,11 @@ def _target_bound(program: Program, actor, head) -> bool:
     return isinstance(target, Address)
 
 
-def enabled_rules(
-    program: Program, config: Configuration, feeds: Sequence[AppMessage] = ()
-) -> Tuple[RuleInstance, ...]:
-    """Every rule instance whose side conditions hold, in a deterministic
-    order (rule id, then site, then consumed payload)."""
-    top = config.top
+def _section_rules(program: Program, top: Fragment) -> List[RuleInstance]:
+    """What the actors and signals enable: Request or a create rule at each
+    running actor, SendIn/SendOut or Compute at each signal.  These read
+    the actors, the signals and the program, and nothing else."""
     insts: List[RuleInstance] = []
-
     running = ProcessingState.RUNNING
     for a in top.actors:
         if a.p is not running:
@@ -201,24 +198,64 @@ def enabled_rules(
                 and blocked(t.last_signal, ev.event)
             ):
                 insts.append(RuleInstance("Compute", ev.dest.id, ev.canon(), ev))
+    return insts
 
+
+def _message_rules(
+    program: Program, top: Fragment, mem_ids, am: AppMessage
+) -> Tuple[RuleInstance, ...]:
+    """What one pending message enables: SetPartner or ReadyDeliver when
+    it is addressed to a member that is ready and whose guard accepts it,
+    nothing while that member cannot take it, and Out when it is addressed
+    outside.  Reads the message, the members (`mem_ids` holds their ids),
+    the destination actor, its ready signal and its guard."""
+    dest = am.dest
     # equal addresses share their id, so an id outside the members rules
     # an address out without hashing the address itself
-    mem_ids = {a.addr.id for a in top.actors}
-    out = None
-    for am in top.apps:
-        dest, text = am.dest, am.canon()
-        if out is not None and out.payload == text and out.site == dest.id:
-            insts.append(out)  # another copy of the message before it
-            continue
-        out = None
-        if dest.id in mem_ids and dest in members(top):
-            if _deliverable(program, config, am):
-                rid = "SetPartner" if am.method == "setPartner" else "ReadyDeliver"
-                insts.append(RuleInstance(rid, dest.id, text, am))
-        else:
-            out = RuleInstance("Out", dest.id, text, am)
-            insts.append(out)
+    if dest.id in mem_ids and dest in members(top):
+        if not _deliverable(program, top, am):
+            return ()
+        rid = "SetPartner" if am.method == "setPartner" else "ReadyDeliver"
+        return (RuleInstance(rid, dest.id, am.canon(), am),)
+    return (RuleInstance("Out", dest.id, am.canon(), am),)
+
+
+def enabled_rules(
+    program: Program,
+    config: Configuration,
+    feeds: Sequence[AppMessage] = (),
+    cache: Optional[dict] = None,
+) -> Tuple[RuleInstance, ...]:
+    """Every rule instance whose side conditions hold, in a deterministic
+    order (rule id, then site, then consumed payload).
+
+    `cache` is a search's own dict, the one apply_cached fills.  Under the
+    actor and signal sections of the state key it keeps what those
+    sections enable, the member ids, and each pending message's instances
+    by the message's text, so a state computes only what no earlier state
+    of the search has answered.  Without it, as in a run, nothing is kept
+    and no key is built."""
+    top = config.top
+    if cache is None:
+        insts = _section_rules(program, top)
+        mem_ids = {a.addr.id for a in top.actors}
+        for am in top.apps:
+            insts += _message_rules(program, top, mem_ids, am)
+    else:
+        key = top.key()
+        section = (key[1], key[2])  # a pair of tuples: never an _effect_key
+        entry = cache.get(section)
+        if entry is None:
+            entry = cache[section] = (
+                tuple(_section_rules(program, top)), {a.addr.id for a in top.actors}, {}
+            )
+        found, mem_ids, fates = entry
+        insts = list(found)
+        for text, am in zip(key[3], top.apps):
+            fate = fates.get(text)
+            if fate is None:
+                fate = fates[text] = _message_rules(program, top, mem_ids, am)
+            insts += fate
 
     recep = receptionists(top)
     for f in feeds:
@@ -518,7 +555,7 @@ def explore(
         labels_seen.add(labels)
         if used >= depth:
             return
-        for inst in enabled_rules(program, cfg, feeds=fds):
+        for inst in enabled_rules(program, cfg, feeds=fds, cache=effects):
             cfg2 = apply_cached(program, cfg, inst, effects)
             fds2 = _without_feed(fds, inst) if inst.rule_id == "In" else fds
             label = inst.boundary_label()

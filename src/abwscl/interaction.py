@@ -511,9 +511,10 @@ def _edges(pc: PartialConfiguration, config, env_left, effects, *, free_peer=Tru
     next env_left).
 
     With reduction on, one commuting silent move is taken alone; the full
-    fan-out only opens where ordering can be heard at the boundary.  Each
-    successor comes from `effects`, the search's cache of rule effects."""
-    insts = enabled_rules(pc.program, config)
+    fan-out only opens where ordering can be heard at the boundary.  The
+    enabled instances and each successor come from `effects`, the
+    search's cache of rule effects."""
+    insts = enabled_rules(pc.program, config, cache=effects)
     if reduced:
         inst = _ample(pc, config, insts)
         if inst is not None:

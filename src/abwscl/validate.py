@@ -102,7 +102,48 @@ def _check_definition(
         names = _local_names(d, m)
         for a in m.body:
             diags.extend(_check_action(d, m, a, names, by_name))
+        if _never_boolean(d, m):
+            diags.append(
+                Diagnostic("GuardNotBoolean",
+                           f"guard of {d.name}.{m.name} is not boolean: "
+                           f"{ast.pp_expr(m.guard)}",
+                           m.loc.line, m.loc.col)
+            )
     return diags
+
+
+def _declared_type(d: ast.BehaviorDefinition, m: ast.MethodDefinition, name: str):
+    """The declared type of a name as evaluation resolves it: parameters
+    shadow variables, which shadow references; None when undeclared."""
+    for t, p in m.params:
+        if p == name:
+            return t
+    for v in d.variables:
+        if v.name == name:
+            return v.type
+    link = d.link(name)
+    return None if link is None else link.kind
+
+
+# Binary operators whose result is a number, a string or a list
+_ARITHMETIC = ("+", "-", "*", "/")
+
+
+def _never_boolean(d: ast.BehaviorDefinition, m: ast.MethodDefinition) -> bool:
+    """Whether the method's guard provably yields something other than a bool: a
+    literal that is not one, a name declared with another type, `self`,
+    a list or record, negation or arithmetic.  Comparisons, `&&`, `||`
+    and `!` may yield a bool."""
+    e = m.guard
+    if isinstance(e, ast.Lit):
+        return not isinstance(e.value, bool)
+    if isinstance(e, ast.Name):
+        return _declared_type(d, m, e.ident) not in (None, "bool")
+    if isinstance(e, ast.Binary):
+        return e.op in _ARITHMETIC
+    if isinstance(e, ast.Unary):
+        return e.op == "-"
+    return isinstance(e, (ast.SelfRef, ast.ListExpr, ast.RecordExpr))
 
 
 def _check_action(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abwscl import engine, interaction
+from abwscl import AddressAllocator, engine, initial_configuration, interaction
 from abwscl.errors import BoundaryMismatch, NoPendingMessage, SilentDivergence, UnknownName
 from abwscl.interaction import (
     BOUNDARIES,
@@ -252,6 +252,41 @@ def test_cached_successors_match_fresh_rule_applications(
         tally.update(hits=0, **{"stale hits": 0})
         composable(*check_pair(prog, *pair, boundary))
         assert tally["hits"] > 0 and tally["stale hits"] > 0, (pair, tally)
+
+
+def test_cached_enabled_rules_match_fresh_enumeration(
+    monkeypatch, program, mutant_program, mini_program
+):
+    """At every state a search expands, the instances read from its rule
+    cache are the ones a fresh enumeration finds: the same subjects, in
+    the same order, with one instance per copy of a pending message."""
+    enabled = engine.enabled_rules
+    seen = {"states": 0, "rules": set()}
+
+    def checked(prog, config, feeds=(), cache=None):
+        got = enabled(prog, config, feeds, cache)
+        if cache is not None:
+            assert got == enabled(prog, config, feeds)
+            seen["states"] += 1
+            seen["rules"].update(inst.rule_id for inst in got)
+        return got
+
+    monkeypatch.setattr(engine, "enabled_rules", checked)
+    monkeypatch.setattr(interaction, "enabled_rules", checked)
+    for prog, pair, boundary in [
+        (program, ("UserAgentWS", "BookStoreWS"), "ws-ws"),
+        (mutant_program, ("BookStoreWSO", "BookStoreWS"), "wso-ws"),
+        (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
+    ]:
+        composable(*check_pair(prog, *pair, boundary))
+    side = wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
+    engine.explore(program, side.config, 5, feeds=side.peer_feeds)
+    # a closed choreography, where calls wait for a busy destination
+    whole = initial_configuration(mini_program, "MiniWSC", AddressAllocator())
+    engine.explore(mini_program, whole, 8)
+    assert seen["states"] > 6000
+    assert {"Request", "CreateAA", "CreateWSs", "Compute", "SendOut", "ReadyDeliver",
+            "SetPartner", "Out", "In"} <= seen["rules"]
 
 
 def test_state_keys_agree_with_canon_text(monkeypatch, program):

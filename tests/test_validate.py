@@ -1,5 +1,6 @@
 from abwscl import Program, parse_program, validate
 from abwscl.validate import Diagnostic
+from test_rules import GUARDED_SOURCE
 
 
 def codes(source: str):
@@ -79,3 +80,25 @@ def test_diagnostics_render_with_position(aa_create_mutant_text):
     assert isinstance(d, Diagnostic)
     assert str(d) == f"{d.line}:{d.col}: AACannotCreate: {d.message}"
     assert d.line > 0
+
+
+def _guarded(guard: str) -> str:
+    return (
+        "WSO G { WS ws-ref\n int n\n bool ok\n init(WS ws) { ws-ref := ws }\n"
+        f" maybe(int k, bool b) if {guard} {{ ws-ref <- pong() }} }}"
+    )
+
+
+def test_guards_that_are_never_boolean():
+    diags = Program.parse(GUARDED_SOURCE.replace("if n > 0", "if n")).validate()
+    assert [d.code for d in diags] == ["GuardNotBoolean"]
+    assert "GuardedWSO.maybe" in diags[0].message
+    for guard in ("3", '"yes"', "n", "k", "ws-ref", "self", "[1]", "-n", "n + 1",
+                  "k * 2", "(n - k)", "n / 2"):
+        assert codes(_guarded(guard)) == ["GuardNotBoolean"], guard
+
+
+def test_guards_that_may_be_boolean():
+    for guard in ("true", "false", "ok", "b", "n > 0", "k == n", "n != 1",
+                  "ok && b", "ok || n < 2", "!ok", "!n", "ghost"):
+        assert codes(_guarded(guard)) == [], guard
