@@ -94,14 +94,16 @@ def cmd_check(
             print(f"error: no behaviour named {name!r}", file=err)
             return UNKNOWN
     try:
-        if cfg.name == name_b:
+        kind = program.definition(cfg.name).kind
+        # one name fits both sides only at the boundary between two of its
+        # kind; elsewhere check_pair's kind check refuses it
+        if cfg.name == name_b and boundary == f"{kind}-{kind}".lower():
             # both sides are the same fragment: every member is shared
-            d = program.definition(cfg.name)
             verdict = interaction.Verdict(
                 kind="MemberOverlap",
                 depth=cfg.depth or 0,
                 explored=0,
-                overlap=(Address(cfg.name, d.kind),),
+                overlap=(Address(cfg.name, kind),),
             )
         else:
             pc_a, pc_m = interaction.check_pair(program, cfg.name, name_b, boundary)

@@ -30,6 +30,7 @@ from .terms import (
     Record,
     blocked,
     members,
+    ready_signal,
     receptionists,
 )
 
@@ -122,7 +123,7 @@ class Trace:
 
 def _deliverable(program: Program, top: Fragment, am: AppMessage) -> bool:
     actor = top.actor(am.dest)
-    if actor is None or rules._ready_signal(actor) not in top.events:
+    if actor is None or ready_signal(actor) not in top.events:
         return False
     method = am.method
     if method is None:
@@ -227,7 +228,9 @@ def enabled_rules(
     cache: Optional[dict] = None,
 ) -> Tuple[RuleInstance, ...]:
     """Every rule instance whose side conditions hold, in a deterministic
-    order (rule id, then site, then consumed payload).
+    order (rule id, then site, then consumed payload).  Copies of a
+    pending message share one instance: whichever copy a step consumes,
+    it reaches the same configuration.
 
     `cache` is a search's own dict, the one apply_cached fills.  Under the
     actor and signal sections of the state key it keeps what those
@@ -239,7 +242,7 @@ def enabled_rules(
     if cache is None:
         insts = _section_rules(program, top)
         mem_ids = {a.addr.id for a in top.actors}
-        for am in top.apps:
+        for am in {am.canon(): am for am in top.apps}.values():
             insts += _message_rules(program, top, mem_ids, am)
     else:
         key = top.key()
@@ -251,7 +254,7 @@ def enabled_rules(
             )
         found, mem_ids, fates = entry
         insts = list(found)
-        for text, am in zip(key[3], top.apps):
+        for text, am in dict(zip(key[3], top.apps)).items():
             fate = fates.get(text)
             if fate is None:
                 fate = fates[text] = _message_rules(program, top, mem_ids, am)
@@ -304,11 +307,8 @@ def apply_instance(
         value = subject.value
         app = AppMessage(dest=value.get("dest"), value=value.get("call"), src=subject.src)
         return cfg, produced, (app,)
-    if rid == "ReadyDeliver":
+    if rid in ("ReadyDeliver", "SetPartner"):
         cfg, produced = rules.deliver_ready(program, config, subject)
-        return cfg, produced, ()
-    if rid == "SetPartner":
-        cfg, produced = rules.deliver_set_partner(program, config, subject)
         return cfg, produced, ()
     if rid == "Out":
         cfg, produced = rules.eject(config, subject)

@@ -50,6 +50,7 @@ from .terms import (
     ProcessingState,
     Record,
     Value,
+    birth_signals,
     call_record,
     canon_value,
     members,
@@ -296,44 +297,6 @@ def _feed_calls(
     return tuple(feeds)
 
 
-def _creator_ws(program: Program, wso_name: str) -> ast.BehaviorDefinition:
-    """The interface service whose body creates the named orchestration."""
-    for d in program.defs:
-        if d.kind != "WS":
-            continue
-        for m in d.bodies():
-            for act in m.body:
-                if isinstance(act, ast.CreateAct) and act.behavior == wso_name:
-                    return d
-    raise UnknownName(f"no interface service creates {wso_name!r}")
-
-
-def _wso_of(program: Program, ws_name: str) -> Optional[str]:
-    for m in program.definition(ws_name).bodies():
-        for act in m.body:
-            if isinstance(act, ast.CreateAct) and program.has(act.behavior):
-                if program.definition(act.behavior).kind == "WSO":
-                    return act.behavior
-    return None
-
-
-def _partner_of(program: Program, ws_name: str) -> Optional[str]:
-    for d in program.defs:
-        if d.kind != "WSC":
-            continue
-        created = [
-            act.behavior
-            for m in d.bodies()
-            for act in m.body
-            if isinstance(act, ast.CreateAct)
-        ]
-        if ws_name in created:
-            others = [c for c in created if c != ws_name]
-            if others:
-                return others[0]
-    return None
-
-
 def wso_side(
     program: Program,
     wso_name: str,
@@ -350,7 +313,9 @@ def wso_side(
     d = program.definition(wso_name)
     if d.kind != "WSO":
         raise NotAWSO(f"{wso_name} is a {d.kind}, not a WSO")
-    ws_def = program.definition(ws_name) if ws_name else _creator_ws(program, wso_name)
+    ws_def = program.definition(ws_name) if ws_name else program.creator(wso_name, "WS")
+    if ws_def is None:
+        raise UnknownName(f"no interface service creates {wso_name!r}")
     if ws_def.kind != "WS":
         raise NotAWS(f"{ws_def.name} is a {ws_def.kind}, not a WS")
     anchor = Address(wso_name, "WSO")
@@ -358,8 +323,7 @@ def wso_side(
     params = d.init.params if d.init else ()
     args = [gate if ptype == "WS" else _DEFAULTS.get(ptype) for ptype, _pname in params]
     actor = instantiate(program, wso_name, args, AddressAllocator(), addr=anchor)
-    events = (rules._ready_signal(actor),) if actor.p is ProcessingState.READY else ()
-    fragment = restrict(Fragment.make(actors=(actor,), events=events), {anchor})
+    fragment = restrict(Fragment.make(actors=(actor,), events=birth_signals(actor)), {anchor})
     peer = Address(far_wso, "WSO") if far_wso else gate
     return PartialConfiguration(
         program=program,
@@ -393,8 +357,11 @@ def ws_side(
     d = program.definition(ws_name)
     if d.kind != "WS":
         raise NotAWS(f"{ws_name} is a {d.kind}, not a WS")
-    wso_name = wso_name or _wso_of(program, ws_name)
-    partner_name = partner_name or _partner_of(program, ws_name)
+    wso_name = wso_name or next(iter(program.creates(ws_name, "WSO")), None)
+    if not partner_name:
+        wsc = program.creator(ws_name, "WSC")
+        partners = program.creates(wsc.name, "WS") if wsc is not None else ()
+        partner_name = next((c for c in partners if c != ws_name), None)
     anchor = Address(ws_name, "WS")
     owner = Address(wso_name or f"{ws_name}-owner", "WSO")
     partner = Address(partner_name or f"{ws_name}-partner", "WS")
@@ -405,10 +372,7 @@ def ws_side(
     actor = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY,
                          state=actor.state.with_queue(()),
                          links=Links("WS", owner_wso=owner, partner_ws=partner))
-    fragment = restrict(
-        Fragment.make(actors=(actor,), events=(rules._ready_signal(actor),)),
-        {anchor},
-    )
+    fragment = restrict(Fragment.make(actors=(actor,), events=birth_signals(actor)), {anchor})
 
     def calls_from(name: Optional[str], src: Address) -> Tuple[AppMessage, ...]:
         if not name:
@@ -477,11 +441,7 @@ def _ample(pc: PartialConfiguration, config, insts):
     with the rest of the configuration; running the first such instance
     alone reaches the same visible behaviour as fanning out.  Delivery
     choices and observable ejections stay branching."""
-    prev = None
     for inst in insts:
-        if inst == prev:
-            continue  # a duplicate message: judged just before, and refused
-        prev = inst
         if inst.rule_id in _COMMUTING:
             return inst
         if inst.rule_id == "Compute":
@@ -522,11 +482,7 @@ def _edges(pc: PartialConfiguration, config, env_left, effects, *, free_peer=Tru
             am = inst.subject if inst.rule_id == "Out" else None
             return [(silent(pc.boundary), am, nxt, env_left)], True
     moves = []
-    prev = None
     for inst in insts:
-        if inst == prev:
-            continue  # another copy of the same message: the same successor
-        prev = inst
         nxt = apply_cached(pc.program, config, inst, effects)
         if inst.rule_id == "Out":
             am = inst.subject

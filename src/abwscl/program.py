@@ -27,13 +27,13 @@ from .terms import (
     ActorTerm,
     Configuration,
     Event,
-    EventMessage,
     Fragment,
     Links,
     LocalState,
     ProcessingState,
     Record,
     Value,
+    birth_signals,
 )
 from .validate import Diagnostic, validate
 
@@ -100,6 +100,27 @@ class Program:
 
     def has(self, name: str) -> bool:
         return name in self.by_name
+
+    def creates(self, name: str, kind: str) -> Tuple[str, ...]:
+        """The behaviours of this kind that the named definition creates,
+        in the order its bodies create them, `init` first."""
+        return tuple(
+            act.behavior
+            for m in self.definition(name).bodies()
+            for act in m.body
+            if isinstance(act, ast.CreateAct)
+            and act.behavior in self.by_name
+            and self.by_name[act.behavior].kind == kind
+        )
+
+    def creator(self, name: str, kind: str) -> Optional[ast.BehaviorDefinition]:
+        """The first definition of this kind that creates the named
+        behaviour in any of its bodies."""
+        created = self.definition(name).kind
+        return next(
+            (d for d in self.defs if d.kind == kind and name in self.creates(d.name, created)),
+            None,
+        )
 
     def validate(self) -> Tuple[Diagnostic, ...]:
         return validate(self.defs)
@@ -186,8 +207,8 @@ def instantiate(
 ) -> ActorTerm:
     """Build a fresh actor term for the named behaviour.
 
-    The caller owns what birth implies at fragment level (the newborn's
-    ready signal when it has no queued work).
+    The caller owns what birth implies at fragment level: the signals
+    terms.birth_signals gives the newborn.
     """
     d = program.definition(behavior_name)
     n_params = len(d.init.params) if d.init else 0
@@ -221,6 +242,29 @@ def instantiate(
     return actor
 
 
+def _method(
+    program: Program, actor: ActorTerm, method_name: str, args: Sequence[Value]
+) -> ast.MethodDefinition:
+    """The method a call to the actor binds to, checked against its arity."""
+    m = program.definition(actor.behavior).method(method_name)
+    if m is None:
+        raise UnknownMethod(f"{actor.behavior} has no method {method_name!r}")
+    if len(args) != len(m.params):
+        raise ArityMismatch(
+            f"{actor.behavior}.{method_name} takes {len(m.params)} argument(s), "
+            f"got {len(args)}"
+        )
+    return m
+
+
+def _bind(actor: ActorTerm, m: ast.MethodDefinition, args: Sequence[Value]) -> LocalState:
+    """The actor's state with the call's arguments in the method's parameters."""
+    state = actor.state
+    for (_ptype, pname), v in zip(m.params, args):
+        state = state.set(pname, v)
+    return state
+
+
 def load_method(
     program: Program,
     actor: ActorTerm,
@@ -228,41 +272,19 @@ def load_method(
     args: Sequence[Value],
 ) -> ActorTerm:
     """Bind a delivered call's parameters and queue its body."""
-    d = program.definition(actor.behavior)
-    m = d.method(method_name)
-    if m is None:
-        raise UnknownMethod(f"{actor.behavior} has no method {method_name!r}")
-    if len(args) != len(m.params):
-        raise ArityMismatch(
-            f"{actor.behavior}.{method_name} takes {len(m.params)} argument(s), "
-            f"got {len(args)}"
-        )
-    state = actor.state
-    for (_ptype, pname), v in zip(m.params, args):
-        state = state.set(pname, v)
-    actor = actor.evolve(p=ProcessingState.RUNNING, state=state.with_queue(tuple(m.body)))
-    return absorb(program, actor)
+    m = _method(program, actor, method_name, args)
+    state = _bind(actor, m, args).with_queue(tuple(m.body))
+    return absorb(program, actor.evolve(p=ProcessingState.RUNNING, state=state))
 
 
 def guard_accepts(
     program: Program, actor: ActorTerm, method_name: str, args: Sequence[Value]
 ) -> bool:
     """Evaluate a method guard against the current state and call arguments."""
-    d = program.definition(actor.behavior)
-    m = d.method(method_name)
-    if m is None:
-        raise UnknownMethod(f"{actor.behavior} has no method {method_name!r}")
-    if len(args) != len(m.params):
-        raise ArityMismatch(
-            f"{actor.behavior}.{method_name} takes {len(m.params)} argument(s), "
-            f"got {len(args)}"
-        )
+    m = _method(program, actor, method_name, args)
     if isinstance(m.guard, ast.Lit) and m.guard.value is True:
         return True  # the default guard: nothing to evaluate
-    state = actor.state
-    for (_ptype, pname), v in zip(m.params, args):
-        state = state.set(pname, v)
-    value = eval_in_state(program, actor.evolve(state=state), m.guard)
+    value = eval_in_state(program, actor.evolve(state=_bind(actor, m, args)), m.guard)
     if not isinstance(value, bool):
         raise EvalTypeError(f"guard of {actor.behavior}.{method_name} is not boolean")
     return value
@@ -277,10 +299,4 @@ def initial_configuration(
     fragment, mirroring what a create step would have produced.
     """
     actor = instantiate(program, name, [], alloc)
-    events = []
-    if actor.p is ProcessingState.READY:
-        events.append(
-            EventMessage(dest=actor.tau, src=actor.addr, event=Event.READY,
-                         value=Record.of())
-        )
-    return Configuration(Fragment.make(actors=[actor], events=events))
+    return Configuration(Fragment.make(actors=[actor], events=birth_signals(actor)))

@@ -23,7 +23,6 @@ and of one delivery:
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import syntax as ast
@@ -66,10 +65,12 @@ from .terms import (
     Links,
     ProcessingState,
     Record,
+    birth_signals,
     blocked,
     call_record,
     fragment_acquaintances,
     members,
+    ready_signal,
     receptionists,
     value_acquaintances,
 )
@@ -125,17 +126,6 @@ def _swap_actor(actors: tuple, new: ActorTerm) -> tuple:
     return tuple(new if a.addr.id == addr.id and a.addr == addr else a for a in actors)
 
 
-def _ready_signal(a: ActorTerm) -> EventMessage:
-    return _ready_from(a.tau, a.addr)
-
-
-@lru_cache(maxsize=4096)
-def _ready_from(tau: Address, addr: Address) -> EventMessage:
-    # messages are immutable, so each pair shares one ready signal, and a
-    # membership test finds the pending one by identity
-    return EventMessage(dest=tau, src=addr, event=Event.READY, value=Record.of())
-
-
 # -- generic computation: request and compute --------------------------------
 
 
@@ -153,7 +143,7 @@ def step_request(
         raise NotRunning(f"{site.canon()} is not running")
     queue = actor.state.queue
     if not queue:
-        signal = _ready_signal(actor)
+        signal = ready_signal(actor)
         new = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY)
     else:
         head = queue[0]
@@ -327,7 +317,7 @@ def aa_send_out(
 
 
 def _find_ready_signal(config: Configuration, actor: ActorTerm) -> EventMessage:
-    events, want = config.top.events, _ready_signal(actor)
+    events, want = config.top.events, ready_signal(actor)
     if want not in events:
         raise NoPendingMessage(f"{actor.addr.canon()} has not signalled ready")
     return events[events.index(want)]
@@ -355,18 +345,23 @@ def deliver_ready(
 
     Both are consumed; a deliver notification carrying the call record is
     produced.  Refused (left pending) when the method's guard is false.
+    A setPartner call first wires the partner link; re-setting the same
+    partner is an idempotent confirmation.
     """
     if am not in config.top.apps:
         raise NoPendingMessage(f"not in fragment: {am.canon()}")
     actor = _get_actor(config, am.dest)
     ready = _find_ready_signal(config, actor)
-    method = am.method
+    method, args = am.method, am.args
     if method is None:
         raise UnknownMethod(f"{am.canon()} names no method")
-    if method == "setPartner":
-        return deliver_set_partner(program, config, am)
-    if not guard_accepts(program, actor, method, am.args):
+    partnering = method == "setPartner"
+    if partnering and (len(args) != 1 or not isinstance(args[0], Address)):
+        raise UnknownTarget(f"setPartner takes one actor address: {am.canon()}")
+    if not guard_accepts(program, actor, method, args):
         raise GuardRejected(f"guard of {actor.behavior}.{method} refused the call")
+    if partnering:
+        config = set_partner(config, am.dest, args[0])
     return _deliver(config, actor, ready, am)
 
 
@@ -380,26 +375,6 @@ def set_partner(
         raise SelfPartner(f"{ws.canon()} cannot partner itself")
     new = actor.evolve(links=dataclasses.replace(actor.links, partner_ws=partner))
     return _rebuild(config, actors=_swap_actor(config.top.actors, new))
-
-
-def deliver_set_partner(
-    program: Program, config: Configuration, am: AppMessage
-) -> Tuple[Configuration, Produced]:
-    """Deliver a setPartner message: wire the partner link, then hand the
-    call to the method body like any other delivery.  Re-setting the same
-    partner is an idempotent confirmation."""
-    if am not in config.top.apps:
-        raise NoPendingMessage(f"not in fragment: {am.canon()}")
-    actor = _get_actor(config, am.dest)
-    ready = _find_ready_signal(config, actor)
-    args = am.args
-    if len(args) != 1 or not isinstance(args[0], Address):
-        raise UnknownTarget(f"setPartner takes one actor address: {am.canon()}")
-    if not guard_accepts(program, actor, "setPartner", args):
-        raise GuardRejected(f"guard of {actor.behavior}.setPartner refused the call")
-    config = set_partner(config, am.dest, args[0])
-    actor = _get_actor(config, am.dest)
-    return _deliver(config, actor, ready, am)
 
 
 # -- boundary ----------------------------------------------------------------
@@ -482,10 +457,7 @@ def _birth(
     )
     if act.role is not None:
         newborn = newborn.evolve(state=newborn.state.set("role", act.role))
-    signals = ()
-    if newborn.p is ProcessingState.READY:
-        signals = (_ready_signal(newborn),)
-    return newborn, signals
+    return newborn, birth_signals(newborn)
 
 
 def _created(

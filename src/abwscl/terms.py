@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
@@ -288,6 +289,24 @@ class EventMessage:
         return self._canon
 
 
+def ready_signal(actor: ActorTerm) -> EventMessage:
+    """The signal an idle actor sends its handler to ask for a call."""
+    return _ready_from(actor.tau, actor.addr)
+
+
+@lru_cache(maxsize=4096)
+def _ready_from(tau: Address, addr: Address) -> EventMessage:
+    # messages are immutable, so each pair shares one ready signal, and a
+    # membership test finds the pending one by identity
+    return EventMessage(dest=tau, src=addr, event=Event.READY, value=Record.of())
+
+
+def birth_signals(actor: ActorTerm) -> tuple:
+    """What a newborn brings into its fragment besides itself: its ready
+    signal when it was born with no queued work."""
+    return (ready_signal(actor),) if actor.p is ProcessingState.READY else ()
+
+
 @dataclass(frozen=True)
 class AppMessage:
     """Application message: dest : src <- value.  src is absent only for
@@ -526,9 +545,6 @@ class Configuration:
 
     def canon(self) -> str:
         return self.top.canon()
-
-    def actor(self, addr: Address) -> Optional[ActorTerm]:
-        return self.top.actor(addr)
 
     def replace_actor(self, new: ActorTerm) -> "Configuration":
         actors = tuple(new if a.addr == new.addr else a for a in self.top.actors)

@@ -104,16 +104,6 @@ def _inward_methods(d: ast.BehaviorDefinition) -> List[ast.MethodDefinition]:
     return [m for m in _callable_methods(d) if _sends_via(d, m, "WSO")]
 
 
-def _interface_ws(program: Program, wso_name: str) -> Optional[ast.BehaviorDefinition]:
-    for d in program.defs:
-        if d.kind != "WS" or d.init is None:
-            continue
-        for act in d.init.body:
-            if isinstance(act, ast.CreateAct) and act.behavior == wso_name:
-                return d
-    return None
-
-
 # -- service description ----------------------------------------------------
 
 
@@ -248,7 +238,7 @@ def export_bpel(program: Program, name: str, *, base_uri: str = BASE_URI) -> Xml
     d = program.definition(name)
     if d.kind != "WSO":
         raise NotAWSO(f"{name} is {d.kind}, not WSO")
-    ws = _interface_ws(program, name)
+    ws = program.creator(name, "WS")
     ws_name = ws.name if ws is not None else "Partner"
     plink = f"{d.name}And{ws_name}"
 

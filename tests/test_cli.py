@@ -122,9 +122,15 @@ def test_check_member_overlap(mini_file):
 
 
 def test_check_kind_mismatch(mini_file):
-    code, _, err = run_cli("check", "MiniWS", "MiniWSO", "wso-ws", mini_file)
-    assert code == 1
-    assert "not a WSO" in err
+    for name_a, name_b, boundary, message in [
+        ("MiniWS", "MiniWSO", "wso-ws", "MiniWS is a WS, not a WSO"),
+        # one name on both sides still has to be of the boundary's kind
+        ("MiniWSO", "MiniWSO", "ws-ws", "MiniWSO is a WSO, not a WS"),
+        ("MiniWS", "MiniWS", "wso-ws", "MiniWS is a WS, not a WSO"),
+    ]:
+        code, _, err = run_cli("check", name_a, name_b, boundary, mini_file)
+        assert code == 1
+        assert err == f"error: {message}\n"
 
 
 def test_export_writes_the_document(corpus_file, tmp_path):

@@ -10,7 +10,7 @@ from abwscl.engine import (
 )
 from abwscl.errors import NoPendingMessage
 from abwscl.program import initial_configuration, instantiate
-from abwscl.rules import _ready_signal, boundary_in
+from abwscl.rules import boundary_in
 from abwscl.terms import (
     Address,
     AddressAllocator,
@@ -18,6 +18,7 @@ from abwscl.terms import (
     Configuration,
     Fragment,
     call_record,
+    ready_signal,
 )
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
@@ -121,7 +122,7 @@ def test_delivery_races_are_visible_to_the_scheduler():
         addr=Address("RaceWSO", "WSO"),
     )
     config = Configuration(
-        Fragment.make(actors=(actor,), events=(_ready_signal(actor),))
+        Fragment.make(actors=(actor,), events=(ready_signal(actor),))
     )
     config = boundary_in(config, AppMessage(actor.addr, call_record("left", ())))
     config = boundary_in(config, AppMessage(actor.addr, call_record("right", ())))

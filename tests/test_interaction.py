@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abwscl import AddressAllocator, engine, initial_configuration, interaction
+from abwscl import AddressAllocator, Program, engine, initial_configuration, interaction
 from abwscl.errors import BoundaryMismatch, NoPendingMessage, SilentDivergence, UnknownName
 from abwscl.interaction import (
     BOUNDARIES,
@@ -18,7 +18,7 @@ from abwscl.interaction import (
     ws_side,
     wso_side,
 )
-from abwscl.terms import Address, call_record
+from abwscl.terms import Address, Event, call_record
 
 UA_WS = Address("UserAgentWS", "WS")
 UA_WSO = Address("UserAgentWSO", "WSO")
@@ -259,7 +259,7 @@ def test_cached_enabled_rules_match_fresh_enumeration(
 ):
     """At every state a search expands, the instances read from its rule
     cache are the ones a fresh enumeration finds: the same subjects, in
-    the same order, with one instance per copy of a pending message."""
+    the same order, with one instance per distinct pending message."""
     enabled = engine.enabled_rules
     seen = {"states": 0, "rules": set()}
 
@@ -287,6 +287,102 @@ def test_cached_enabled_rules_match_fresh_enumeration(
     assert seen["states"] > 6000
     assert {"Request", "CreateAA", "CreateWSs", "Compute", "SendOut", "ReadyDeliver",
             "SetPartner", "Out", "In"} <= seen["rules"]
+
+
+# The orchestration hands its activity `work`, two `tick` calls and a
+# `fin`.  The ticks can pile up while the activity works, and it counts
+# them: `done` leaves only after the second tick is delivered.
+COUNT_SOURCE = """
+WS CountWS {
+    WSO wso-ref
+    WS ws-ref
+
+    init() {
+        wso-ref := new CountWSO(self)
+    }
+
+    setPartner(WS ws) if true {
+        ws-ref := ws
+    }
+
+    done() if true {
+        other-local-computations
+    }
+}
+
+WSO CountWSO {
+    AA tickAA
+    WS ws-ref
+
+    init(WS ws) {
+        ws-ref := ws
+        tickAA := new TickAA(self)
+        tickAA <- work()
+        tickAA <- tick()
+        tickAA <- tick()
+        tickAA <- fin()
+    }
+
+    ack() if true {
+        other-local-computations
+    }
+
+    done() if true {
+        ws-ref <- done()
+    }
+}
+
+AA TickAA {
+    WSO wso-ref
+    int n
+
+    init(WSO wso) {
+        wso-ref := wso
+    }
+
+    work() if true {
+        wso-ref <- ack()
+        wso-ref <- ack()
+    }
+
+    tick() if true {
+        n := n + 1
+    }
+
+    fin() if n == 2 {
+        wso-ref <- done()
+    }
+}
+"""
+
+
+def test_reduced_solo_search_keeps_equal_pending_copies(monkeypatch):
+    """The reduced solo search reaches states where two equal `tick` calls
+    wait at a ready member, and finds every visible step the unreduced
+    semantics finds, `done` included."""
+    program = Program.parse(COUNT_SOURCE)
+    assert program.validate() == ()
+    pc = wso_side(program, "CountWSO")
+    edges = interaction._edges
+    reached = []
+
+    def recording(pc_, config, env_left, effects, **kw):
+        top = config.top
+        ready = {e.src for e in top.events if e.event is Event.READY}
+        texts = [am.canon() for am in top.apps]
+        reached.extend(
+            am for am in top.apps
+            if am.method == "tick" and am.dest in ready and texts.count(am.canon()) == 2
+        )
+        return edges(pc_, config, env_left, effects, **kw)
+
+    monkeypatch.setattr(interaction, "_edges", recording)
+    labels, _states = interaction._solo_labels(pc, 1, {})
+    assert reached
+    monkeypatch.undo()
+    exact = interaction_semantics(pc, 1)
+    assert labels == {step.key() for seq in exact for step in seq if step.visible}
+    assert labels == {("emit-2", "done")}
 
 
 def test_state_keys_agree_with_canon_text(monkeypatch, program):

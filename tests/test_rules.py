@@ -34,6 +34,7 @@ from abwscl.terms import (
     Record,
     call_record,
     members,
+    ready_signal,
     receptionists,
     restrict,
 )
@@ -190,7 +191,7 @@ def guarded_call(program):
         program, "GuardedWSO", [OUTSIDE], alloc, addr=Address("GuardedWSO", "WSO")
     )
     config = Configuration(
-        Fragment.make(actors=(actor,), events=(rules._ready_signal(actor),))
+        Fragment.make(actors=(actor,), events=(ready_signal(actor),))
     )
     return rules.boundary_in(config, AppMessage(actor.addr, call_record("maybe", ())))
 

@@ -4,7 +4,10 @@ import pytest
 
 from abwscl import Program, export, export_bpel, export_cdl, export_wsdl
 from abwscl.errors import NotAWS, NotAWSC, NotAWSO, RoleCountMismatch
+from abwscl.interaction import check_pair
+from abwscl.terms import Address
 from abwscl.wsmap import XmlSkeleton, el, export_file_name
+from conftest import MINI_SOURCE
 
 
 def local(tag: str) -> str:
@@ -134,6 +137,55 @@ WSO PickyWSO {
     guard = seq[0]
     assert [local(c.tag) for c in guard] == ["condition", "receive"]
     assert guard[0].text == "opaque"
+
+
+# a service that creates its orchestration on a call, not at birth
+LATE_SOURCE = """
+WS LateWS {
+    WSO wso-ref
+    WS ws-ref
+
+    init() {
+        other-local-computations
+    }
+
+    setPartner(WS ws) if true {
+        ws-ref := ws
+    }
+
+    start() if true {
+        wso-ref := new LateWSO(self)
+    }
+
+    pong() if true {
+        ws-ref <- pong()
+    }
+}
+
+WSO LateWSO {
+    WS ws-ref
+
+    init(WS ws) {
+        ws-ref := ws
+    }
+
+    ping() if true {
+        ws-ref <- pong()
+    }
+}
+"""
+
+
+def test_check_and_bpel_name_the_same_creating_service():
+    """The service that creates an orchestration in any of its bodies is
+    the one the check observes it through and the BPEL partner link names."""
+    program = Program.parse(MINI_SOURCE + LATE_SOURCE)
+    assert program.validate() == ()
+    side, _far = check_pair(program, "LateWSO", "MiniWSO", "wso-wso")
+    assert side.gate == Address("LateWS", "WS")
+    [link] = find_all(tree(export_bpel(program, "LateWSO")), "partnerLink")
+    assert link.get("name") == "LateWSOAndLateWS"
+    assert link.get("partnerRole") == "LateWS"
 
 
 def test_cyclic_activities_fall_back_to_a_flow():
