@@ -382,7 +382,8 @@ def apply_cached(
     `effects` is the caller's, one per search: a miss applies the rule and
     records its effect; a hit removes the instance's own subject, raising
     NoPendingMessage when it is not pending, as the rule would, and adds
-    the recorded terms, whose memoised texts come along."""
+    the recorded terms, whose memoised texts come along.  The spliced
+    fragment inherits its members and the unchanged sections of its key."""
     top = config.top
     key = _effect_key(top, inst)
     effect = effects.get(key)  # None, the create rules' key, is never stored
@@ -401,13 +402,9 @@ def apply_cached(
         events = rules._without(events, m)
     for m in app_gone:
         apps = rules._without(apps, m)
-    return rules._rebuild(
-        config,
-        actors=None if actor is None else rules._swap_actor(top.actors, actor),
-        events=events + ev_new,
-        apps=apps + app_new,
-        restriction=restriction,
-    )
+    return Configuration(top.derive(
+        actor=actor, events=events + ev_new, apps=apps + app_new, restriction=restriction
+    ))
 
 
 # -- schedulers ----------------------------------------------------------------

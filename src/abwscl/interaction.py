@@ -434,6 +434,37 @@ def _inject(pc: PartialConfiguration, config: Configuration, feed: AppMessage):
 _COMMUTING = frozenset({"Request", "SendIn", "SendOut", "CreateAA", "CreateWSO", "CreateWSs"})
 
 
+# The solo quotient.  `_solo_labels` keeps one copy of each pending
+# message addressed outside the fragment (`_one_copy`); dropping the rest
+# leaves every label set it computes unchanged:
+# - such a message has exactly one fate, the Out rule, and the label its
+#   ejection shows (or its silence) is fixed by its text;
+# - nothing in the fragment reads it: `_inject` compares a peer call
+#   against the pending calls to the anchor, a member, and guards read
+#   actor state only, so no other move is enabled or disabled by it;
+# - a later copy extrudes exactly the names the first copy extrudes;
+# - so a path from the full state maps to a path from the quotient that
+#   skips the ejections of later copies.  Those repeat a label already
+#   on the path, so the map drops visible steps but no label, and every
+#   path from the quotient is a path from the full state.  Solo label
+#   sets are equal at every depth.
+# Copies addressed to a member are never merged: a receiver may count
+# them.  `interaction_semantics`, `admits_sequence` and the product stay
+# exact, because they count sequences or copies.
+def _one_copy(config: Configuration) -> Configuration:
+    """The configuration with one copy of each pending message addressed
+    outside the fragment; itself when it holds no second copy of one."""
+    top = config.top
+    texts = top.key()[3]
+    if len(set(texts)) == len(texts):
+        return config
+    mem = members(top)
+    # apps are sorted by text, so copies sit next to each other
+    kept = [am for i, am in enumerate(top.apps)
+            if not (i and texts[i] == texts[i - 1] and am.dest not in mem)]
+    return config if len(kept) == len(texts) else Configuration(top.derive(apps=kept))
+
+
 def _ample(pc: PartialConfiguration, config, insts):
     """A silent instance whose order against every other move is inaudible.
 
@@ -581,13 +612,15 @@ def admits_sequence(
 def _solo_labels(
     pc: PartialConfiguration, depth: int, effects: dict, *, max_states: int = _MAX_STATES
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
-    """Visible step keys reachable alone within depth, and states seen."""
+    """Visible step keys reachable alone within depth, and states seen.
+    The search runs on the one-copy quotient (see `_one_copy`)."""
     labels: Set[Tuple[str, str]] = set()
 
     def successors(node, count):
         config, env_left = node
         moves, _det = _edges(pc, config, env_left, effects)
         for step, _am, nxt, env2 in moves:
+            nxt = _one_copy(nxt)
             if not step.visible:
                 yield (nxt, env2), count
             elif count < depth:

@@ -373,6 +373,44 @@ class Fragment:
                 return a
         return None
 
+    def derive(self, *, actor=None, events=None, apps=None, restriction="keep") -> "Fragment":
+        """The fragment one step leaves: these actors with `actor` swapped
+        in at its own address, the given events and apps (None keeps this
+        fragment's), and the given restriction.  A step adds no actor and
+        drops none, so the members carry over; so do the sections of the
+        key it cannot change: the restriction ids when it is "keep", the
+        actor texts but the swapped one's, and the texts of a section
+        passed as this fragment's own tuple."""
+        rids, texts, event_texts, app_texts = self.key()
+        actors = self.actors
+        if actor is not None:
+            addr = actor.addr
+            # equal addresses share their id; comparing it first is cheap
+            i = next(i for i, a in enumerate(actors) if a.addr.id == addr.id and a.addr == addr)
+            actors = actors[:i] + (actor,) + actors[i + 1:]
+            texts = texts[:i] + (actor.canon(),) + texts[i + 1:]
+        if events is None or events is self.events:
+            events = self.events
+        else:
+            events = tuple(sorted(events, key=_CANON))
+            event_texts = tuple(map(_CANON, events))
+        if apps is None or apps is self.apps:
+            apps = self.apps
+        else:
+            apps = tuple(sorted(apps, key=_CANON))
+            app_texts = tuple(map(_CANON, apps))
+        if restriction == "keep":
+            restriction = self.restriction
+        elif restriction is not None:
+            restriction = frozenset(restriction)
+            rids = tuple(sorted([a.id for a in restriction]))
+        else:
+            rids = None
+        f = Fragment(actors, events, apps, restriction)
+        object.__setattr__(f, "_key", (rids, texts, event_texts, app_texts))
+        object.__setattr__(f, "_members", members(self))
+        return f
+
     def key(self) -> tuple:
         """Identity for search: equal exactly when the canon texts are,
         built from member texts already memoised on shared terms."""
@@ -545,10 +583,6 @@ class Configuration:
 
     def canon(self) -> str:
         return self.top.canon()
-
-    def replace_actor(self, new: ActorTerm) -> "Configuration":
-        actors = tuple(new if a.addr == new.addr else a for a in self.top.actors)
-        return Configuration(Fragment.make(actors, self.top.events, self.top.apps, self.top.restriction))
 
 
 class AddressAllocator:

@@ -18,7 +18,9 @@ from abwscl.interaction import (
     ws_side,
     wso_side,
 )
-from abwscl.terms import Address, Event, call_record
+from abwscl.terms import Address, Event, call_record, members
+
+from test_acceptance import CORPUS_PAIRS, PAIR_SOURCE
 
 UA_WS = Address("UserAgentWS", "WS")
 UA_WSO = Address("UserAgentWSO", "WSO")
@@ -235,6 +237,7 @@ def test_cached_successors_match_fresh_rule_applications(
         got = cached(prog, config, inst, effects)
         assert got.top.key() == fresh.top.key()
         assert got.canon() == fresh.canon()
+        assert members(got.top) == members(fresh.top)
         tally["hits"] += hit
         pending = got.top.events + got.top.apps
         if inst.rule_id in ("Out", "Compute", "ReadyDeliver") and inst.subject not in pending:
@@ -275,6 +278,8 @@ def test_cached_enabled_rules_match_fresh_enumeration(
     monkeypatch.setattr(interaction, "enabled_rules", checked)
     for prog, pair, boundary in [
         (program, ("UserAgentWS", "BookStoreWS"), "ws-ws"),
+        (program, ("UserAgentWSO", "UserAgentWS"), "wso-ws"),
+        (program, ("UserAgentWSO", "BookStoreWSO"), "wso-wso"),
         (mutant_program, ("BookStoreWSO", "BookStoreWS"), "wso-ws"),
         (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
     ]:
@@ -383,6 +388,105 @@ def test_reduced_solo_search_keeps_equal_pending_copies(monkeypatch):
     exact = interaction_semantics(pc, 1)
     assert labels == {step.key() for seq in exact for step in seq if step.visible}
     assert labels == {("emit-2", "done")}
+
+
+def _outbound_copies(config):
+    """Pending messages addressed outside the fragment that equal an
+    earlier pending one."""
+    seen, copies = set(), []
+    for am in config.top.apps:
+        if am.dest in members(config.top):
+            continue
+        if am.canon() in seen:
+            copies.append(am)
+        seen.add(am.canon())
+    return copies
+
+
+def test_one_copy_quotient_keeps_solo_labels(
+    monkeypatch, program, mutant_program, mini_program
+):
+    """Solo labels on the one-copy quotient are the exact solo labels, on
+    every corpus side, both sides of the dropped-`sendPB` mutant, the
+    counting receiver and both small fixtures; and no state the quotiented
+    UserAgentWSO search expands holds two equal outbound messages."""
+    pair = Program.parse(PAIR_SOURCE)
+    count = Program.parse(COUNT_SOURCE)
+    cases = [(program, key) for key in CORPUS_PAIRS] + [
+        (mutant_program, ("BookStoreWSO", "BookStoreWS", "wso-ws")),
+        (count, ("CountWSO", "CountWS", "wso-ws")),
+        (pair, ("PairWSO", "GateWS", "wso-ws")),
+        (mini_program, ("MiniWSO", "MiniWS", "wso-ws")),
+    ]
+    sides = []
+    for prog, (name_a, name_m, boundary) in cases:
+        pc_a, pc_m = check_pair(prog, name_a, name_m, boundary)
+        depth = default_depth(pc_a, pc_m)
+        sides += [(pc_a, depth), (pc_m, depth)]
+
+    edges = interaction._edges
+    copies = []
+
+    def recording(pc, config, env_left, effects, **kw):
+        if pc.behavior == "UserAgentWSO":
+            copies.extend(_outbound_copies(config))
+        return edges(pc, config, env_left, effects, **kw)
+
+    monkeypatch.setattr(interaction, "_edges", recording)
+    quotiented = [interaction._solo_labels(pc, depth, {}) for pc, depth in sides]
+    assert copies == []
+    monkeypatch.setattr(interaction, "_edges", edges)
+    monkeypatch.setattr(interaction, "_one_copy", lambda config: config)
+    exact = [interaction._solo_labels(pc, depth, {}) for pc, depth in sides]
+    for (pc, _depth), (labels, states), (want, exact_states) in zip(sides, quotiented, exact):
+        assert labels == want, pc.behavior
+        assert states <= exact_states, pc.behavior
+        # the exact search did hold outbound copies there
+        assert pc.behavior != "UserAgentWSO" or states < exact_states
+
+
+# The orchestration sends its service the same call twice.
+TWICE_SOURCE = """
+WS TwiceWS {
+    WSO wso-ref
+    WS ws-ref
+
+    init() {
+        wso-ref := new TwiceWSO(self)
+    }
+
+    setPartner(WS ws) if true {
+        ws-ref := ws
+    }
+
+    ping() if true {
+        other-local-computations
+    }
+}
+
+WSO TwiceWSO {
+    WS ws-ref
+
+    init(WS ws) {
+        ws-ref := ws
+        ws-ref <- ping()
+        ws-ref <- ping()
+    }
+}
+"""
+
+
+def test_sequences_count_equal_outbound_copies():
+    """The one-copy quotient is the solo phase's alone: the side still
+    admits emitting the same call twice, and its semantics contain it."""
+    program = Program.parse(TWICE_SOURCE)
+    assert program.validate() == ()
+    pc = wso_side(program, "TwiceWSO")
+    twice = InteractionSequence((emit("ping", Address("TwiceWS", "WS"), pc.anchor),) * 2)
+    assert admits_sequence(pc, twice)
+    visible = {tuple(step.key() for step in seq if step.visible)
+               for seq in interaction_semantics(pc, 2)}
+    assert (("emit-2", "ping"),) * 2 in visible
 
 
 def test_state_keys_agree_with_canon_text(monkeypatch, program):

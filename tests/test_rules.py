@@ -33,7 +33,6 @@ from abwscl.terms import (
     ProcessingState,
     Record,
     call_record,
-    members,
     ready_signal,
     receptionists,
     restrict,
@@ -45,6 +44,11 @@ OUTSIDE = Address("Outside", "WS")
 def wsc_start(mini_program):
     alloc = AddressAllocator()
     return initial_configuration(mini_program, "MiniWSC", alloc), alloc
+
+
+def with_actor(config, new):
+    """The configuration with `new` in place of the actor at its address."""
+    return Configuration(config.top.derive(actor=new))
 
 
 def make_aa(program, name, addr_id, owner, interface):
@@ -82,7 +86,7 @@ def test_request_refuses_idle_and_missing_actors(mini_program):
         state=config.top.actors[0].state.with_queue(()),
     )
     with pytest.raises(NotRunning):
-        rules.step_request(mini_program, config.replace_actor(idle), idle.addr)
+        rules.step_request(mini_program, with_actor(config, idle), idle.addr)
 
 
 def test_create_rules_are_kind_directed(mini_program):
@@ -113,7 +117,7 @@ def test_partners_are_created_once(mini_program):
         state=after.top.actor(site).state.with_queue(creates),
     )
     with pytest.raises(PartnersAlreadyCreated):
-        rules.create_wss(mini_program, after.replace_actor(rearmed), site, alloc)
+        rules.create_wss(mini_program, with_actor(after, rearmed), site, alloc)
 
 
 def test_a_service_fronts_one_orchestration(mini_program):
@@ -127,7 +131,7 @@ def test_a_service_fronts_one_orchestration(mini_program):
         state=after.top.actor(ws.addr).state.with_queue(ws.state.queue[:1]),
     )
     with pytest.raises(WSOAlreadyBound):
-        rules.create_wso(mini_program, after.replace_actor(rearmed), ws.addr, alloc)
+        rules.create_wso(mini_program, with_actor(after, rearmed), ws.addr, alloc)
 
 
 class CollidingAllocator(AddressAllocator):
@@ -204,9 +208,7 @@ def test_delivery_defers_when_the_guard_refuses():
         rules.deliver_ready(program, config, config.top.apps[0])
     # the refused call stays pending rather than vanishing
     assert len(config.top.apps) == 1
-    opened = config.replace_actor(
-        dataclasses.replace(actor, state=actor.state.set("n", 1))
-    )
+    opened = with_actor(config, dataclasses.replace(actor, state=actor.state.set("n", 1)))
     after, _ = rules.deliver_ready(program, opened, opened.top.apps[0])
     assert after.top.apps == ()
     assert any(e.event is Event.DELIVER for e in after.top.events)
