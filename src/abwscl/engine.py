@@ -28,6 +28,7 @@ from .terms import (
     Fragment,
     ProcessingState,
     Record,
+    _without,
     blocked,
     members,
     ready_signal,
@@ -304,9 +305,7 @@ def apply_instance(
     if rid in ("SendIn", "SendOut"):
         fn = rules.aa_send_in if rid == "SendIn" else rules.aa_send_out
         cfg, produced = fn(program, config, subject)
-        value = subject.value
-        app = AppMessage(dest=value.get("dest"), value=value.get("call"), src=subject.src)
-        return cfg, produced, (app,)
+        return cfg, produced, cfg.top._step[3][:1]
     if rid in ("ReadyDeliver", "SetPartner"):
         cfg, produced = rules.deliver_ready(program, config, subject)
         return cfg, produced, ()
@@ -315,8 +314,8 @@ def apply_instance(
         return cfg, produced, (subject,)
     if rid == "In":
         cfg = rules.boundary_in(config, subject)
-        accepted = AppMessage(dest=subject.dest, value=subject.value, src=None)
-        return cfg, (accepted.canon(),), (accepted,)
+        accepted = cfg.top._step[3]
+        return cfg, (accepted[0].canon(),), accepted
     if rid == "CreateAA":
         cfg, produced = rules.create_aa(program, config, subject, alloc)
         return cfg, produced, ()
@@ -348,63 +347,28 @@ def _effect_key(top: Fragment, inst: RuleInstance):
     return rid, inst.payload, actor.canon() if actor is not None else None
 
 
-def _effect(before: Fragment, after: Fragment, subject):
-    """What one step did: (the actor it replaced, or None; events and
-    messages it consumed besides its subject; those it produced; its
-    restriction, or "keep")."""
-    actor = next((a for a, b in zip(after.actors, before.actors) if a is not b), None)
-
-    def diff(old, new):
-        added, gone = list(new), []
-        for m in old:
-            if m in added:
-                added.remove(m)
-            else:
-                gone.append(m)
-        if subject in gone:
-            gone.remove(subject)
-        return tuple(gone), tuple(added)
-
-    restriction = "keep" if after.restriction is before.restriction else after.restriction
-    events, apps = diff(before.events, after.events), diff(before.apps, after.apps)
-    return (actor,) + events + apps + (restriction,)
-
-
 def apply_cached(
     program: Program,
     config: Configuration,
     inst: RuleInstance,
     effects: dict,
 ) -> Configuration:
-    """apply_instance's configuration, spliced from the effect the same
-    rule had wherever it read the same terms.
+    """apply_instance's configuration, replayed from the step the same
+    rule took wherever it read the same terms.
 
     `effects` is the caller's, one per search: a miss applies the rule and
-    records its effect; a hit removes the instance's own subject, raising
-    NoPendingMessage when it is not pending, as the rule would, and adds
-    the recorded terms, whose memoised texts come along.  The spliced
-    fragment inherits its members and the unchanged sections of its key."""
-    top = config.top
-    key = _effect_key(top, inst)
-    effect = effects.get(key)  # None, the create rules' key, is never stored
-    if effect is None:
+    stores the step its Fragment.derive call recorded; a hit derives with
+    that step again.  The step's consumed messages include the subject, so
+    a replay removes an equal pending copy, raising NoPendingMessage when
+    none is pending, as the rule would."""
+    key = _effect_key(config.top, inst)
+    step = effects.get(key)  # None, the create rules' key, is never stored
+    if step is None:
         nxt = apply_instance(program, config, inst, allocator_for(config))[0]
         if key is not None:
-            effects[key] = _effect(top, nxt.top, inst.subject)
+            effects[key] = nxt.top._step
         return nxt
-    actor, ev_gone, ev_new, app_gone, app_new, restriction = effect
-    events, apps, subject = top.events, top.apps, inst.subject
-    if isinstance(subject, EventMessage):
-        events = rules._without(events, subject)
-    elif isinstance(subject, AppMessage):
-        apps = rules._without(apps, subject)
-    for m in ev_gone:
-        events = rules._without(events, m)
-    for m in app_gone:
-        apps = rules._without(apps, m)
-    return Configuration(top.derive(
-        actor=actor, events=events + ev_new, apps=apps + app_new, restriction=restriction
-    ))
+    return Configuration(config.top.derive(*step))
 
 
 # -- schedulers ----------------------------------------------------------------
@@ -479,12 +443,6 @@ def search(start, key, successors, *, phase, depth, budget=None, lifo=False, sto
 # -- driving -------------------------------------------------------------------
 
 
-def _without_feed(feeds: Tuple[AppMessage, ...], inst: RuleInstance) -> Tuple[AppMessage, ...]:
-    """The feeds left once an In instance has taken its message."""
-    i = feeds.index(inst.subject)
-    return feeds[:i] + feeds[i + 1 :]
-
-
 def run(
     program: Program,
     config: Configuration,
@@ -517,7 +475,7 @@ def run(
         inst = sched.choose(insts, len(steps))
         cur, produced, artifacts = apply_instance(program, cur, inst, alloc)
         if inst.rule_id == "In":
-            remaining = _without_feed(remaining, inst)
+            remaining = _without(remaining, inst.subject)
         steps.append(StepRecord(inst, produced, artifacts, cur))
     if not quiescent:
         quiescent = not enabled_rules(program, cur, feeds=remaining)
@@ -554,7 +512,7 @@ def explore(
             return
         for inst in enabled_rules(program, cfg, feeds=fds, cache=effects):
             cfg2 = apply_cached(program, cfg, inst, effects)
-            fds2 = _without_feed(fds, inst) if inst.rule_id == "In" else fds
+            fds2 = _without(fds, inst.subject) if inst.rule_id == "In" else fds
             label = inst.boundary_label()
             labels2 = labels if label is None else labels + (label,)
             yield (cfg2, fds2, labels2), used + 1

@@ -460,9 +460,9 @@ def _one_copy(config: Configuration) -> Configuration:
         return config
     mem = members(top)
     # apps are sorted by text, so copies sit next to each other
-    kept = [am for i, am in enumerate(top.apps)
-            if not (i and texts[i] == texts[i - 1] and am.dest not in mem)]
-    return config if len(kept) == len(texts) else Configuration(top.derive(apps=kept))
+    extra = [am for i, am in enumerate(top.apps)
+             if i and texts[i] == texts[i - 1] and am.dest not in mem]
+    return Configuration(top.derive(gone=extra)) if extra else config
 
 
 def _ample(pc: PartialConfiguration, config, insts):

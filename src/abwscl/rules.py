@@ -2,8 +2,10 @@
 
 Every function checks its own applicability and raises a specific error
 when misapplied; engine.enabled_rules enumerates the instances that apply
-cleanly.  All rules preserve the fragment's restriction set; hiding is
-decided where a partial configuration is built, not here.
+cleanly.  A rule rewrites a sub-multiset of the fragment: it builds its
+successor with one Fragment.derive call, naming the actor it replaces,
+the actors it creates, the messages it consumes and produces, and the
+restriction when an ejection publishes names.
 
 Signals travel to an actor's handler tau; notifications travel back to the
 actor.  The lifecycle of one send is:
@@ -23,7 +25,7 @@ and of one delivery:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import syntax as ast
 from .errors import (
@@ -88,44 +90,6 @@ def _get_actor(config: Configuration, addr: Address) -> ActorTerm:
     return a
 
 
-def _without(seq: tuple, item) -> tuple:
-    out: List = []
-    dropped = False
-    for x in seq:
-        if not dropped and (x is item or x == item):
-            dropped = True
-            continue
-        out.append(x)
-    if not dropped:
-        raise NoPendingMessage(f"not in fragment: {item.canon()}")
-    return tuple(out)
-
-
-def _rebuild(
-    config: Configuration,
-    *,
-    actors: Optional[Sequence[ActorTerm]] = None,
-    events: Optional[Sequence[EventMessage]] = None,
-    apps: Optional[Sequence[AppMessage]] = None,
-    restriction="keep",
-) -> Configuration:
-    top = config.top
-    return Configuration(
-        Fragment.make(
-            actors=top.actors if actors is None else actors,
-            events=top.events if events is None else events,
-            apps=top.apps if apps is None else apps,
-            restriction=top.restriction if restriction == "keep" else restriction,
-        )
-    )
-
-
-def _swap_actor(actors: tuple, new: ActorTerm) -> tuple:
-    addr = new.addr
-    # equal addresses share their id; comparing it first is cheap
-    return tuple(new if a.addr.id == addr.id and a.addr == addr else a for a in actors)
-
-
 # -- generic computation: request and compute --------------------------------
 
 
@@ -175,12 +139,7 @@ def step_request(
             last_signal=Event.TRANSMIT,
             state=actor.state.with_queue(queue[1:]),
         )
-    cfg = _rebuild(
-        config,
-        actors=_swap_actor(config.top.actors, new),
-        events=config.top.events + (signal,),
-    )
-    return cfg, (signal.canon(),)
+    return Configuration(config.top.derive(actor=new, new=(signal,))), (signal.canon(),)
 
 
 def step_compute(
@@ -195,11 +154,10 @@ def step_compute(
     body.  A deliver whose guard is false is refused and left pending; a
     notification that is not pending is NoPendingMessage.
     """
-    if notification.dest != site:
+    if notification.dest != site or notification not in config.top.events:
         raise NoPendingMessage(
-            f"notification {notification.canon()} is not for {site.canon()}"
+            f"notification {notification.canon()} is not pending for {site.canon()}"
         )
-    events = _without(config.top.events, notification)
     actor = _get_actor(config, site)
     if actor.p is not ProcessingState.READY:
         raise NotRunning(f"{site.canon()} is not blocked on a notification")
@@ -220,12 +178,7 @@ def step_compute(
                 f"guard of {actor.behavior}.{method} refused the call"
             )
         new = load_method(program, actor, method, args)
-    cfg = _rebuild(
-        config,
-        actors=_swap_actor(config.top.actors, new),
-        events=events,
-    )
-    return cfg, ()
+    return Configuration(config.top.derive(actor=new, gone=(notification,))), ()
 
 
 # -- signal routing at the handler -------------------------------------------
@@ -268,11 +221,8 @@ def _route(
     complete = EventMessage(
         dest=em.src, src=em.dest, event=Event.COMPLETE, value=Record.of()
     )
-    cfg = _rebuild(
-        config,
-        events=_without(config.top.events, em) + (complete,),
-        apps=config.top.apps + (app,),
-    )
+    # the routed message comes first: apply_instance reads it from the record
+    cfg = Configuration(config.top.derive(gone=(em,), new=(app, complete)))
     return cfg, (app.canon(), complete.canon())
 
 
@@ -316,28 +266,6 @@ def aa_send_out(
 # -- delivery ----------------------------------------------------------------
 
 
-def _find_ready_signal(config: Configuration, actor: ActorTerm) -> EventMessage:
-    events, want = config.top.events, ready_signal(actor)
-    if want not in events:
-        raise NoPendingMessage(f"{actor.addr.canon()} has not signalled ready")
-    return events[events.index(want)]
-
-
-def _deliver(
-    config: Configuration, actor: ActorTerm, ready: EventMessage, am: AppMessage
-) -> Tuple[Configuration, Produced]:
-    # the ready signal and the message become one deliver notification
-    deliver = EventMessage(
-        dest=actor.addr, src=actor.tau, event=Event.DELIVER, value=am.value
-    )
-    cfg = _rebuild(
-        config,
-        events=_without(config.top.events, ready) + (deliver,),
-        apps=_without(config.top.apps, am),
-    )
-    return cfg, (deliver.canon(),)
-
-
 def deliver_ready(
     program: Program, config: Configuration, am: AppMessage
 ) -> Tuple[Configuration, Produced]:
@@ -345,13 +273,15 @@ def deliver_ready(
 
     Both are consumed; a deliver notification carrying the call record is
     produced.  Refused (left pending) when the method's guard is false.
-    A setPartner call first wires the partner link; re-setting the same
+    A setPartner call also wires the partner link; re-setting the same
     partner is an idempotent confirmation.
     """
     if am not in config.top.apps:
         raise NoPendingMessage(f"not in fragment: {am.canon()}")
     actor = _get_actor(config, am.dest)
-    ready = _find_ready_signal(config, actor)
+    ready = ready_signal(actor)
+    if ready not in config.top.events:
+        raise NoPendingMessage(f"{actor.addr.canon()} has not signalled ready")
     method, args = am.method, am.args
     if method is None:
         raise UnknownMethod(f"{am.canon()} names no method")
@@ -360,9 +290,19 @@ def deliver_ready(
         raise UnknownTarget(f"setPartner takes one actor address: {am.canon()}")
     if not guard_accepts(program, actor, method, args):
         raise GuardRejected(f"guard of {actor.behavior}.{method} refused the call")
-    if partnering:
-        config = set_partner(config, am.dest, args[0])
-    return _deliver(config, actor, ready, am)
+    # the ready signal and the message become one deliver notification
+    deliver = EventMessage(
+        dest=actor.addr, src=actor.tau, event=Event.DELIVER, value=am.value
+    )
+    partnered = _partnered(actor, args[0]) if partnering else None
+    cfg = Configuration(config.top.derive(actor=partnered, gone=(ready, am), new=(deliver,)))
+    return cfg, (deliver.canon(),)
+
+
+def _partnered(actor: ActorTerm, partner: Address) -> ActorTerm:
+    if partner == actor.addr:
+        raise SelfPartner(f"{actor.addr.canon()} cannot partner itself")
+    return actor.evolve(links=dataclasses.replace(actor.links, partner_ws=partner))
 
 
 def set_partner(
@@ -370,11 +310,7 @@ def set_partner(
 ) -> Configuration:
     """Point a WS at its partner WS.  Idempotent; a WS is never its own
     partner."""
-    actor = _get_actor(config, ws)
-    if partner == ws:
-        raise SelfPartner(f"{ws.canon()} cannot partner itself")
-    new = actor.evolve(links=dataclasses.replace(actor.links, partner_ws=partner))
-    return _rebuild(config, actors=_swap_actor(config.top.actors, new))
+    return Configuration(config.top.derive(actor=_partnered(_get_actor(config, ws), partner)))
 
 
 # -- boundary ----------------------------------------------------------------
@@ -386,7 +322,7 @@ def boundary_in(config: Configuration, am: AppMessage) -> Configuration:
     if am.dest not in receptionists(config.top):
         raise NotAReceptionist(f"{am.dest.canon()} is not visible from outside")
     accepted = AppMessage(dest=am.dest, value=am.value, src=None)
-    return _rebuild(config, apps=config.top.apps + (accepted,))
+    return Configuration(config.top.derive(new=(accepted,)))
 
 
 def eject(config: Configuration, am: AppMessage) -> Tuple[Configuration, Produced]:
@@ -406,10 +342,7 @@ def eject(config: Configuration, am: AppMessage) -> Tuple[Configuration, Produce
         if am.src is not None:
             exposed |= {am.src}
         restriction = restriction | (exposed & mem)
-    cfg = _rebuild(
-        config, apps=_without(config.top.apps, am), restriction=restriction
-    )
-    return cfg, (am.canon(),)
+    return Configuration(config.top.derive(gone=(am,), restriction=restriction)), (am.canon(),)
 
 
 # -- creation ----------------------------------------------------------------
@@ -470,11 +403,7 @@ def _created(
     for name, addr in binds:
         creator = write_name(program, creator, name, addr)
     creator = absorb(program, creator.evolve(state=creator.state.with_queue(rest)))
-    cfg = _rebuild(
-        config,
-        actors=_swap_actor(config.top.actors, creator) + born,
-        events=config.top.events + signals,
-    )
+    cfg = Configuration(config.top.derive(actor=creator, born=born, new=signals))
     produced = tuple(f"actor {a.addr.canon()}" for a in born)
     return cfg, produced + tuple(s.canon() for s in signals)
 

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Union
 from .errors import (
     AddressOverlap,
     InvalidRestriction,
+    NoPendingMessage,
     NotBijective,
     OverlappingReceptionists,
 )
@@ -341,6 +342,14 @@ class AppMessage:
         return self._canon
 
 
+def _without(seq: tuple, item) -> tuple:
+    """`seq` less its first copy of `item`; NoPendingMessage if it has none."""
+    for i, x in enumerate(seq):
+        if x is item or x == item:
+            return seq[:i] + seq[i + 1:]
+    raise NoPendingMessage(f"not in fragment: {item.canon()}")
+
+
 # sort keys for Fragment.make, read per member without a Python call
 _ADDR_ID = attrgetter("addr.id")
 _CANON = attrgetter("_canon")
@@ -373,42 +382,56 @@ class Fragment:
                 return a
         return None
 
-    def derive(self, *, actor=None, events=None, apps=None, restriction="keep") -> "Fragment":
-        """The fragment one step leaves: these actors with `actor` swapped
-        in at its own address, the given events and apps (None keeps this
-        fragment's), and the given restriction.  A step adds no actor and
-        drops none, so the members carry over; so do the sections of the
-        key it cannot change: the restriction ids when it is "keep", the
-        actor texts but the swapped one's, and the texts of a section
-        passed as this fragment's own tuple."""
-        rids, texts, event_texts, app_texts = self.key()
-        actors = self.actors
+    def derive(self, actor=None, born=(), gone=(), new=(), restriction="keep") -> "Fragment":
+        """The fragment one step leaves: `actor` swapped in at its own
+        address, the `born` actors added, one pending copy of each message
+        in `gone` removed (NoPendingMessage when none is), the `new`
+        messages added, and the restriction replaced unless it is "keep".
+
+        The result records these arguments as its `_step`, so
+        `derive(*f._step)` replays the step on another fragment.  With
+        nobody born it inherits the members.  When this fragment's key is
+        built, the result inherits the key sections the step left alone,
+        so a run, which builds no key, still builds none."""
+        actors, events, apps, rest = self.actors, self.events, self.apps, self.restriction
+        key = self.__dict__.get("_key")
         if actor is not None:
             addr = actor.addr
             # equal addresses share their id; comparing it first is cheap
             i = next(i for i, a in enumerate(actors) if a.addr.id == addr.id and a.addr == addr)
             actors = actors[:i] + (actor,) + actors[i + 1:]
-            texts = texts[:i] + (actor.canon(),) + texts[i + 1:]
-        if events is None or events is self.events:
-            events = self.events
-        else:
-            events = tuple(sorted(events, key=_CANON))
-            event_texts = tuple(map(_CANON, events))
-        if apps is None or apps is self.apps:
-            apps = self.apps
-        else:
-            apps = tuple(sorted(apps, key=_CANON))
-            app_texts = tuple(map(_CANON, apps))
-        if restriction == "keep":
-            restriction = self.restriction
-        elif restriction is not None:
-            restriction = frozenset(restriction)
-            rids = tuple(sorted([a.id for a in restriction]))
-        else:
-            rids = None
-        f = Fragment(actors, events, apps, restriction)
-        object.__setattr__(f, "_key", (rids, texts, event_texts, app_texts))
-        object.__setattr__(f, "_members", members(self))
+        if born:
+            actors = tuple(sorted(actors + born, key=_ADDR_ID))
+        for m in gone:
+            if type(m) is EventMessage:
+                events = _without(events, m)
+            else:
+                apps = _without(apps, m)
+        new_events = tuple([m for m in new if type(m) is EventMessage])
+        new_apps = tuple([m for m in new if type(m) is not EventMessage])
+        if new_events:
+            events = tuple(sorted(events + new_events, key=_CANON))
+        if new_apps:
+            apps = tuple(sorted(apps + new_apps, key=_CANON))
+        if restriction != "keep":
+            rest = None if restriction is None else frozenset(restriction)
+        f = Fragment(actors, events, apps, rest)
+        if key is not None:
+            rids, texts, event_texts, app_texts = key
+            if born:
+                texts = tuple([a.canon() for a in actors])
+            elif actor is not None:
+                texts = texts[:i] + (actor.canon(),) + texts[i + 1:]
+            if events is not self.events:
+                event_texts = tuple(map(_CANON, events))
+            if apps is not self.apps:
+                app_texts = tuple(map(_CANON, apps))
+            if restriction != "keep":
+                rids = None if rest is None else tuple(sorted([a.id for a in rest]))
+            object.__setattr__(f, "_key", (rids, texts, event_texts, app_texts))
+        if not born:
+            object.__setattr__(f, "_members", members(self))
+        object.__setattr__(f, "_step", (actor, born, gone, new, restriction))
         return f
 
     def key(self) -> tuple:

@@ -107,13 +107,13 @@ def _inward_methods(d: ast.BehaviorDefinition) -> List[ast.MethodDefinition]:
 # -- service description ----------------------------------------------------
 
 
-def export_wsdl(d: ast.BehaviorDefinition, *, base_uri: str = BASE_URI) -> XmlSkeleton:
+def export_wsdl(d: ast.BehaviorDefinition) -> XmlSkeleton:
     """Describe an interface service: one operation per method its
     partner may call, with an input element per call and no operations
     for the calls it only sends."""
     if d.kind != "WS":
         raise NotAWS(f"{d.name} is {d.kind}, not WS")
-    schema_ns = f"{base_uri}/schemas/{d.name}.xsd"
+    schema_ns = f"{BASE_URI}/schemas/{d.name}.xsd"
     inward = _inward_methods(d)
     schema_children = []
     for m in inward:
@@ -132,7 +132,7 @@ def export_wsdl(d: ast.BehaviorDefinition, *, base_uri: str = BASE_URI) -> XmlSk
     ]
     root = el(
         "description",
-        {"targetNamespace": f"{base_uri}/wsdl/{d.name}.wsdl"},
+        {"targetNamespace": f"{BASE_URI}/wsdl/{d.name}.wsdl"},
         el("documentation", text=f"This document describes the {d.name} Web service."),
         el(
             "types",
@@ -160,7 +160,7 @@ def export_wsdl(d: ast.BehaviorDefinition, *, base_uri: str = BASE_URI) -> XmlSk
         root,
         namespaces=(
             ("", "http://www.w3.org/2004/08/wsdl"),
-            ("tns", f"{base_uri}/wsdl/{d.name}.wsdl"),
+            ("tns", f"{BASE_URI}/wsdl/{d.name}.wsdl"),
             ("ghns", schema_ns),
             ("plnk", "http://docs.oasis-open.org/wsbpel/2.0/plnktype"),
         ),
@@ -232,7 +232,7 @@ def _causality_chain(program: Program, d: ast.BehaviorDefinition) -> List[Tuple[
     return chain.acts
 
 
-def export_bpel(program: Program, name: str, *, base_uri: str = BASE_URI) -> XmlSkeleton:
+def export_bpel(program: Program, name: str) -> XmlSkeleton:
     """Describe an orchestration as a process whose activities follow the
     causality chain; a body that causes itself falls back to a flow."""
     d = program.definition(name)
@@ -280,7 +280,7 @@ def export_bpel(program: Program, name: str, *, base_uri: str = BASE_URI) -> Xml
     ]
     root = el(
         "process",
-        {"name": d.name, "targetNamespace": f"{base_uri}/ws-bp/{d.name}"},
+        {"name": d.name, "targetNamespace": f"{BASE_URI}/ws-bp/{d.name}"},
         el("documentation", text=f"This document describes the {d.name} process."),
         el(
             "partnerLinks",
@@ -299,7 +299,7 @@ def export_bpel(program: Program, name: str, *, base_uri: str = BASE_URI) -> Xml
         root,
         namespaces=(
             ("", "http://docs.oasis-open.org/wsbpel/2.0/process/executable"),
-            ("lns", f"{base_uri}/wsdl/{ws_name}.wsdl"),
+            ("lns", f"{BASE_URI}/wsdl/{ws_name}.wsdl"),
         ),
     )
 
@@ -320,11 +320,7 @@ def partner_ws_names(d: ast.BehaviorDefinition) -> Tuple[str, ...]:
 
 
 def export_cdl(
-    d: ast.BehaviorDefinition,
-    ws1: ast.BehaviorDefinition,
-    ws2: ast.BehaviorDefinition,
-    *,
-    base_uri: str = BASE_URI,
+    d: ast.BehaviorDefinition, ws1: ast.BehaviorDefinition, ws2: ast.BehaviorDefinition
 ) -> XmlSkeleton:
     """Describe a choreography: two roleTypes, one relationship, and an
     interaction per method the two services exchange, in the order the
@@ -376,7 +372,7 @@ def export_cdl(
     )
     root = el(
         "package",
-        {"name": d.name, "targetNamespace": f"{base_uri}/cdl/{d.name}", "version": "1.0"},
+        {"name": d.name, "targetNamespace": f"{BASE_URI}/cdl/{d.name}", "version": "1.0"},
         *info_types,
         el("roleType", {"name": ws1.name},
            el("behavior", {"name": f"{ws1.name}Behavior",
@@ -403,9 +399,9 @@ def export_cdl(
         namespaces=(
             ("", "http://www.w3.org/2005/10/cdl"),
             ("cdl", "http://www.w3.org/2005/10/cdl"),
-            ("tns", f"{base_uri}/cdl/{d.name}"),
-            ("ns1", f"{base_uri}/wsdl/{ws1.name}.wsdl"),
-            ("ns2", f"{base_uri}/wsdl/{ws2.name}.wsdl"),
+            ("tns", f"{BASE_URI}/cdl/{d.name}"),
+            ("ns1", f"{BASE_URI}/wsdl/{ws1.name}.wsdl"),
+            ("ns2", f"{BASE_URI}/wsdl/{ws2.name}.wsdl"),
         ),
     )
 
@@ -421,13 +417,13 @@ def export_file_name(target: str, name: str) -> str:
     }[target]
 
 
-def export(program: Program, target: str, name: str, *, base_uri: str = BASE_URI) -> XmlSkeleton:
+def export(program: Program, target: str, name: str) -> XmlSkeleton:
     """Dispatch on target, resolving whatever the document needs."""
     d = program.definition(name)
     if target == "wsdl":
-        return export_wsdl(d, base_uri=base_uri)
+        return export_wsdl(d)
     if target == "bpel":
-        return export_bpel(program, name, base_uri=base_uri)
+        return export_bpel(program, name)
     if target == "cdl":
         partners = partner_ws_names(d)
         if len(partners) != 2:
@@ -436,5 +432,5 @@ def export(program: Program, target: str, name: str, *, base_uri: str = BASE_URI
             )
         ws1 = program.definition(partners[0])
         ws2 = program.definition(partners[1])
-        return export_cdl(d, ws1, ws2, base_uri=base_uri)
+        return export_cdl(d, ws1, ws2)
     raise ValueError(f"unknown export target {target!r}")

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 from collections import deque
 
 from abwscl import Program, engine, interaction, rules, wsmap
-from abwscl.interaction import InteractionSequence, InteractionStep, dual, silent
+from abwscl.interaction import InteractionSequence, InteractionStep, dual
 from abwscl.program import initial_configuration
 from abwscl.terms import (
     Address,
@@ -24,7 +24,6 @@ from abwscl.terms import (
     receptionists,
     rename,
 )
-from abwscl.validate import validate
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 

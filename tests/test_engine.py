@@ -51,6 +51,17 @@ def test_same_seed_same_trace(program):
     assert golden(program).text() == golden(program).text()
 
 
+def test_a_run_builds_no_state_key(program, mini_program):
+    """Only a search reads state keys: each step of a run splices its
+    successor from its parent, and no fragment of the trace builds one."""
+    alloc = AddressAllocator()
+    mini = run(mini_program, initial_configuration(mini_program, "MiniWSC", alloc), alloc=alloc)
+    for trace in (golden(program), mini):
+        assert trace.quiescent and len(trace.steps) > 10
+        fragments = [trace.initial.top] + [s.post.top for s in trace.steps]
+        assert [f for f in fragments if "_key" in f.__dict__] == []
+
+
 def test_any_seed_reaches_the_same_conversation(program):
     for seed in (1, 7, 42):
         trace = golden(program, seed=seed)

@@ -223,13 +223,68 @@ def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_prog
                 assert _moves_text(cached) == _moves_text(fresh)
 
 
+# The orchestration sends its interface service the address of its
+# hidden activity, then a second call: ejecting the first publishes the
+# activity, and the two ejections can happen in either order.
+PUBLISH_SOURCE = """
+AA HelperAA {
+    WSO wso-ref
+
+    init(WSO wso) {
+        wso-ref := wso
+    }
+}
+
+WSO PublishWSO {
+    AA helper
+    WS ws-ref
+
+    init(WS ws) {
+        ws-ref := ws
+        helper := new HelperAA(self)
+    }
+
+    ping() if true {
+        ws-ref <- pong(helper)
+        ws-ref <- done()
+    }
+}
+
+WS PublishWS {
+    WSO wso-ref
+
+    init() {
+        wso-ref := new PublishWSO(self)
+    }
+
+    setPartner(WS ws) if true {
+        other-local-computations
+    }
+
+    ping() if true {
+        wso-ref <- ping()
+    }
+
+    pong(AA a) if true {
+        other-local-computations
+    }
+
+    done() if true {
+        other-local-computations
+    }
+}
+"""
+
+
 def test_cached_successors_match_fresh_rule_applications(
     monkeypatch, program, mutant_program, mini_program
 ):
-    """Every successor a check splices from its rule effects is the one
-    the rule builds afresh, and a consumed subject is not consumed twice."""
+    """Every successor a check replays from a recorded step is the one
+    the rule builds afresh, and a consumed subject is not consumed twice.
+    Deliveries, partnerings and ejections that publish names replay too."""
     cached = interaction.apply_cached
     tally = {"hits": 0, "stale hits": 0}
+    replayed = set()
 
     def checked(prog, config, inst, effects):
         fresh = engine.apply_instance(prog, config, inst, engine.allocator_for(config))[0]
@@ -239,6 +294,9 @@ def test_cached_successors_match_fresh_rule_applications(
         assert got.canon() == fresh.canon()
         assert members(got.top) == members(fresh.top)
         tally["hits"] += hit
+        if hit:
+            publishes = got.top.restriction != config.top.restriction
+            replayed.add(inst.rule_id + (" publishing" if publishes else ""))
         pending = got.top.events + got.top.apps
         if inst.rule_id in ("Out", "Compute", "ReadyDeliver") and inst.subject not in pending:
             tally["stale hits"] += engine._effect_key(got.top, inst) in effects
@@ -247,6 +305,7 @@ def test_cached_successors_match_fresh_rule_applications(
         return got
 
     monkeypatch.setattr(interaction, "apply_cached", checked)
+    monkeypatch.setattr(engine, "apply_cached", checked)
     for prog, pair, boundary in [
         (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
         (mutant_program, ("BookStoreWSO", "BookStoreWS"), "wso-ws"),
@@ -255,6 +314,10 @@ def test_cached_successors_match_fresh_rule_applications(
         tally.update(hits=0, **{"stale hits": 0})
         composable(*check_pair(prog, *pair, boundary))
         assert tally["hits"] > 0 and tally["stale hits"] > 0, (pair, tally)
+    composable(*check_pair(Program.parse(PUBLISH_SOURCE), "PublishWSO", "PublishWS", "wso-ws"))
+    # a closed choreography, whose services are partnered by setPartner calls
+    engine.explore(mini_program, initial_configuration(mini_program, "MiniWSC", AddressAllocator()), 8)
+    assert {"ReadyDeliver", "SetPartner", "Out publishing"} <= replayed, replayed
 
 
 def test_cached_enabled_rules_match_fresh_enumeration(

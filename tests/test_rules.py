@@ -259,6 +259,21 @@ def test_a_ws_never_partners_itself(mini_program):
     again = rules.set_partner(partnered, ws.addr, OUTSIDE)
     assert again.top.actor(ws.addr).links.partner_ws == OUTSIDE
 
+    # a delivered setPartner call wires the link in the same step
+    idle = ws.evolve(p=ProcessingState.READY, last_signal=Event.READY,
+                     state=ws.state.with_queue(()))
+
+    def delivering(partner):
+        call = AppMessage(ws.addr, call_record("setPartner", (partner,)), src=OUTSIDE)
+        frag = Fragment.make(actors=(idle,), events=(ready_signal(idle),), apps=(call,))
+        return Configuration(frag), call
+
+    with pytest.raises(SelfPartner):
+        rules.deliver_ready(mini_program, *delivering(ws.addr))
+    after, _ = rules.deliver_ready(mini_program, *delivering(OUTSIDE))
+    assert after.top.actor(ws.addr).links.partner_ws == OUTSIDE
+    assert after.top.apps == () and after.top.events[0].event is Event.DELIVER
+
 
 def test_boundary_in_respects_restriction(mini_program):
     alloc = AddressAllocator()
