@@ -83,7 +83,10 @@ class Trace:
     initial: Configuration
     steps: Tuple[StepRecord, ...]
     quiescent: bool
-    reached_limit: bool
+
+    @property
+    def reached_limit(self) -> bool:
+        return not self.quiescent
 
     @property
     def final(self) -> Configuration:
@@ -479,12 +482,7 @@ def run(
         steps.append(StepRecord(inst, produced, artifacts, cur))
     if not quiescent:
         quiescent = not enabled_rules(program, cur, feeds=remaining)
-    return Trace(
-        initial=config,
-        steps=tuple(steps),
-        quiescent=quiescent,
-        reached_limit=not quiescent,
-    )
+    return Trace(initial=config, steps=tuple(steps), quiescent=quiescent)
 
 
 def explore(

@@ -39,28 +39,27 @@ def _is_ident_char(c: str) -> bool:
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
+    i, line, line_start = 0, 1, 0
     n = len(src)
     while i < n:
         c = src[i]
         if c == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             continue
         if c in " \t\r":
             i += 1
-            col += 1
             continue
         if c == "/" and i + 1 < n and src[i + 1] == "/":
             while i < n and src[i] != "\n":
                 i += 1
             continue
+        col = i - line_start + 1
         if _is_ident_start(c):
-            start, startcol = i, col
+            start = i
             while i < n and _is_ident_char(src[i]):
                 i += 1
-                col += 1
             # glue interior hyphens: letter '-' letter with no spaces
             while (
                 i + 1 < n
@@ -69,50 +68,41 @@ def tokenize(src: str) -> List[Token]:
                 and _is_ident_char(src[i - 1])
             ):
                 i += 1
-                col += 1
                 while i < n and _is_ident_char(src[i]):
                     i += 1
-                    col += 1
-            toks.append(Token("ident", src[start:i], line, startcol))
+            toks.append(Token("ident", src[start:i], line, col))
             continue
         if c.isdigit():
-            start, startcol = i, col
+            start = i
             while i < n and (src[i].isdigit() or src[i] == "."):
                 i += 1
-                col += 1
-            toks.append(Token("number", src[start:i], line, startcol))
+            toks.append(Token("number", src[start:i], line, col))
             continue
         if c == '"':
-            start, startcol = i, col
             i += 1
-            col += 1
             buf = []
             while i < n and src[i] != '"':
                 if src[i] == "\n":
-                    raise ParseError("unterminated string", line, startcol)
+                    raise ParseError("unterminated string", line, col)
                 if src[i] == "\\" and i + 1 < n:
                     buf.append(src[i + 1])
                     i += 2
-                    col += 2
                     continue
                 buf.append(src[i])
                 i += 1
-                col += 1
             if i >= n:
-                raise ParseError("unterminated string", line, startcol)
+                raise ParseError("unterminated string", line, col)
             i += 1
-            col += 1
-            toks.append(Token("string", "".join(buf), line, startcol))
+            toks.append(Token("string", "".join(buf), line, col))
             continue
         for p in _PUNCT:
             if src.startswith(p, i):
                 toks.append(Token("punct", p, line, col))
                 i += len(p)
-                col += len(p)
                 break
         else:
             raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    toks.append(Token("eof", "", line, i - line_start + 1))
     return toks
 
 
@@ -137,11 +127,16 @@ class _Parser:
         return t.kind == kind and (text is None or t.text == text)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
         if not self.at(kind, text):
+            t = self.peek()
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
+            raise self.error(f"expected {want!r}, found {t.text or t.kind!r}")
         return self.next()
+
+    def error(self, message: str, token: Optional[Token] = None) -> ParseError:
+        """A parse error located at `token`, by default the next one."""
+        t = self.peek() if token is None else token
+        return ParseError(message, t.line, t.col)
 
     def loc(self) -> ast.Loc:
         t = self.peek()
@@ -154,19 +149,15 @@ class _Parser:
         while not self.at("eof"):
             defs.append(self.definition())
         if not defs:
-            t = self.peek()
-            raise ParseError("expected a behaviour definition", t.line, t.col)
+            raise self.error("expected a behaviour definition")
         return tuple(defs)
 
     def definition(self) -> ast.BehaviorDefinition:
         loc = self.loc()
         kind_tok = self.expect("ident")
         if kind_tok.text not in KINDS:
-            raise ParseError(
-                f"expected one of {', '.join(KINDS)}, found {kind_tok.text!r}",
-                kind_tok.line,
-                kind_tok.col,
-            )
+            kinds = ", ".join(KINDS)
+            raise self.error(f"expected one of {kinds}, found {kind_tok.text!r}", kind_tok)
         kind = kind_tok.text
         name = self.expect("ident").text
         roles: List[str] = []
@@ -182,14 +173,13 @@ class _Parser:
         methods: List[ast.MethodDefinition] = []
         while not self.at("punct", "}"):
             if self.at("eof"):
-                t = self.peek()
-                raise ParseError("unterminated definition: expected '}'", t.line, t.col)
+                raise self.error("unterminated definition: expected '}'")
             t = self.peek()
             if t.kind != "ident":
-                raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
+                raise self.error(f"expected a declaration, found {t.text!r}")
             if t.text == "init" and self.peek(1).text == "(":
                 if init is not None:
-                    raise ParseError("duplicate init", t.line, t.col)
+                    raise self.error("duplicate init")
                 init = self.method(allow_guard=False)
             elif t.text in KINDS and self.peek(1).kind == "ident" and self.peek(2).text != "(":
                 dloc = self.loc()
@@ -224,8 +214,7 @@ class _Parser:
         params: List[Tuple[str, str]] = []
         while not self.at("punct", ")"):
             if self.at("eof") or self.at("punct", "{"):
-                t = self.peek()
-                raise ParseError("unterminated parameter list: expected ')'", t.line, t.col)
+                raise self.error("unterminated parameter list: expected ')'")
             ptype = self.expect("ident").text
             pname = self.expect("ident").text
             params.append((ptype, pname))
@@ -235,8 +224,7 @@ class _Parser:
         guard: ast.Expr = ast.TRUE
         if self.at("ident", "if"):
             if not allow_guard:
-                t = self.peek()
-                raise ParseError("init takes no guard", t.line, t.col)
+                raise self.error("init takes no guard")
             self.next()
             guard = self.expression()
         body = self.block()
@@ -249,8 +237,7 @@ class _Parser:
         actions: List[ast.Action] = []
         while not self.at("punct", "}"):
             if self.at("eof"):
-                t = self.peek()
-                raise ParseError("unterminated block: expected '}'", t.line, t.col)
+                raise self.error("unterminated block: expected '}'")
             actions.append(self.action())
             if self.at("punct", ";"):
                 self.next()
@@ -268,7 +255,7 @@ class _Parser:
             args = self.call_args()
             if method == "setPartner":
                 if len(args) != 1:
-                    raise ParseError("setPartner takes exactly one argument", t.line, t.col)
+                    raise self.error("setPartner takes exactly one argument", t)
                 return ast.SetPartnerCall(loc, target=t.text, arg=args[0])
             return ast.SendAct(loc, target=t.text, method=method, args=args)
         if self.at("punct", ":="):
@@ -285,61 +272,32 @@ class _Parser:
                     loc, kind="", behavior=behavior, args=args, bind_to=t.text, role=role
                 )
             return ast.Assign(loc, name=t.text, expr=self.expression())
-        raise ParseError(f"expected ':=' or '<-' after {t.text!r}", t.line, t.col)
+        raise self.error(f"expected ':=' or '<-' after {t.text!r}", t)
 
     def call_args(self) -> Tuple[ast.Expr, ...]:
         self.expect("punct", "(")
         args: List[ast.Expr] = []
         while not self.at("punct", ")"):
             if self.at("eof") or self.at("punct", "{"):
-                t = self.peek()
-                raise ParseError("unterminated argument list: expected ')'", t.line, t.col)
+                raise self.error("unterminated argument list: expected ')'")
             args.append(self.expression())
             if self.at("punct", ","):
                 self.next()
         self.expect("punct", ")")
         return tuple(args)
 
-    # precedence: || < && < comparison < additive < multiplicative < unary
-
-    def expression(self) -> ast.Expr:
-        e = self.and_expr()
-        while self.at("punct", "||"):
-            loc = self.loc()
-            self.next()
-            e = ast.Binary(loc, op="||", left=e, right=self.and_expr())
-        return e
-
-    def and_expr(self) -> ast.Expr:
-        e = self.cmp_expr()
-        while self.at("punct", "&&"):
-            loc = self.loc()
-            self.next()
-            e = ast.Binary(loc, op="&&", left=e, right=self.cmp_expr())
-        return e
-
-    def cmp_expr(self) -> ast.Expr:
-        e = self.add_expr()
-        if self.peek().kind == "punct" and self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
+    def expression(self, level: int = 0) -> ast.Expr:
+        """Binary operators of `ast.BINARY_LEVELS[level:]`, then unary ones."""
+        if level == len(ast.BINARY_LEVELS):
+            return self.unary_expr()
+        ops, chains = ast.BINARY_LEVELS[level]
+        e = self.expression(level + 1)
+        while self.peek().kind == "punct" and self.peek().text in ops:
             loc = self.loc()
             op = self.next().text
-            return ast.Binary(loc, op=op, left=e, right=self.add_expr())
-        return e
-
-    def add_expr(self) -> ast.Expr:
-        e = self.mul_expr()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-            loc = self.loc()
-            op = self.next().text
-            e = ast.Binary(loc, op=op, left=e, right=self.mul_expr())
-        return e
-
-    def mul_expr(self) -> ast.Expr:
-        e = self.unary_expr()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "/"):
-            loc = self.loc()
-            op = self.next().text
-            e = ast.Binary(loc, op=op, left=e, right=self.unary_expr())
+            e = ast.Binary(loc, op=op, left=e, right=self.expression(level + 1))
+            if not chains:
+                break
         return e
 
     def unary_expr(self) -> ast.Expr:
@@ -357,7 +315,7 @@ class _Parser:
             try:
                 value = float(t.text) if "." in t.text else int(t.text)
             except ValueError:
-                raise ParseError(f"bad number {t.text!r}", t.line, t.col)
+                raise self.error(f"bad number {t.text!r}", t)
             return ast.Lit(loc, value=value)
         if t.kind == "string":
             self.next()
@@ -381,7 +339,7 @@ class _Parser:
             items: List[ast.Expr] = []
             while not self.at("punct", "]"):
                 if self.at("eof"):
-                    raise ParseError("unterminated list: expected ']'", t.line, t.col)
+                    raise self.error("unterminated list: expected ']'", t)
                 items.append(self.expression())
                 if self.at("punct", ","):
                     self.next()
@@ -392,7 +350,7 @@ class _Parser:
             fields: List[Tuple[str, ast.Expr]] = []
             while not self.at("punct", "}"):
                 if self.at("eof"):
-                    raise ParseError("unterminated record: expected '}'", t.line, t.col)
+                    raise self.error("unterminated record: expected '}'", t)
                 key = self.expect("ident").text
                 self.expect("punct", ":")
                 fields.append((key, self.expression()))
@@ -400,7 +358,7 @@ class _Parser:
                     self.next()
             self.next()
             return ast.RecordExpr(loc, fields=tuple(fields))
-        raise ParseError(f"expected an expression, found {t.text or t.kind!r}", t.line, t.col)
+        raise self.error(f"expected an expression, found {t.text or t.kind!r}", t)
 
 
 def parse_program(src: str) -> Tuple[ast.BehaviorDefinition, ...]:

@@ -305,14 +305,6 @@ def _partnered(actor: ActorTerm, partner: Address) -> ActorTerm:
     return actor.evolve(links=dataclasses.replace(actor.links, partner_ws=partner))
 
 
-def set_partner(
-    config: Configuration, ws: Address, partner: Address
-) -> Configuration:
-    """Point a WS at its partner WS.  Idempotent; a WS is never its own
-    partner."""
-    return Configuration(config.top.derive(actor=_partnered(_get_actor(config, ws), partner)))
-
-
 # -- boundary ----------------------------------------------------------------
 
 

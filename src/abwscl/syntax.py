@@ -73,6 +73,18 @@ class RecordExpr(Expr):
 
 TRUE = Lit(value=True)
 
+# Binary operators by precedence, loosest first: (operators, chains).  A
+# level that chains groups to the left (`a - b - c` is `(a - b) - c`); one
+# that does not takes at most one operator, so `a < b < c` does not parse.
+# Unary `!` and `-` bind tighter than every level.
+BINARY_LEVELS = (
+    (("||",), True),
+    (("&&",), True),
+    (("==", "!=", "<", "<=", ">", ">="), False),
+    (("+", "-"), True),
+    (("*", "/"), True),
+)
+
 
 def pp_expr(e: Expr) -> str:
     if isinstance(e, Lit):

@@ -44,15 +44,17 @@ def _local_names(d: ast.BehaviorDefinition, m: ast.MethodDefinition) -> set:
     return names
 
 
+def _diag(node, code: str, message: str) -> Diagnostic:
+    """A diagnostic located at the node's source position."""
+    return Diagnostic(code, message, node.loc.line, node.loc.col)
+
+
 def validate(defs: Tuple[ast.BehaviorDefinition, ...]) -> Tuple[Diagnostic, ...]:
     diags: List[Diagnostic] = []
     by_name: Dict[str, ast.BehaviorDefinition] = {}
     for d in defs:
         if d.name in by_name:
-            diags.append(
-                Diagnostic("DuplicateBehavior", f"behaviour {d.name!r} defined twice",
-                           d.loc.line, d.loc.col)
-            )
+            diags.append(_diag(d, "DuplicateBehavior", f"behaviour {d.name!r} defined twice"))
         else:
             by_name[d.name] = d
     for d in defs:
@@ -68,47 +70,32 @@ def _check_definition(
     if d.kind == "AA":
         wso_links = [l for l in d.links if l.kind == "WSO"]
         if len(wso_links) != 1 or len(d.links) != 1:
-            diags.append(
-                Diagnostic("AAWsoLink",
-                           f"AA {d.name!r} must declare exactly one WSO reference",
-                           d.loc.line, d.loc.col)
-            )
+            diags.append(_diag(d, "AAWsoLink",
+                               f"AA {d.name!r} must declare exactly one WSO reference"))
     if d.kind == "WS":
         if d.method("setPartner") is None:
-            diags.append(
-                Diagnostic("MissingSetPartner",
-                           f"WS {d.name!r} must declare a setPartner method",
-                           d.loc.line, d.loc.col)
-            )
+            diags.append(_diag(d, "MissingSetPartner",
+                               f"WS {d.name!r} must declare a setPartner method"))
     if d.kind == "WSC":
         ws_links = [l for l in d.links if l.kind == "WS"]
         if len(ws_links) != 2 or len(d.links) != 2:
-            diags.append(
-                Diagnostic("WscLinkShape",
-                           f"WSC {d.name!r} must declare exactly two WS references",
-                           d.loc.line, d.loc.col)
-            )
+            diags.append(_diag(d, "WscLinkShape",
+                               f"WSC {d.name!r} must declare exactly two WS references"))
         creates = [
             a for m in _methods(d) for a in m.body if isinstance(a, ast.CreateAct)
         ]
         if creates and len(creates) != 2:
-            diags.append(
-                Diagnostic("WscCreatePair",
-                           f"WSC {d.name!r} must create its two partner services together",
-                           d.loc.line, d.loc.col)
-            )
+            diags.append(_diag(d, "WscCreatePair",
+                               f"WSC {d.name!r} must create its two partner services together"))
 
     for m in _methods(d):
         names = _local_names(d, m)
         for a in m.body:
             diags.extend(_check_action(d, m, a, names, by_name))
         if _never_boolean(d, m):
-            diags.append(
-                Diagnostic("GuardNotBoolean",
-                           f"guard of {d.name}.{m.name} is not boolean: "
-                           f"{ast.pp_expr(m.guard)}",
-                           m.loc.line, m.loc.col)
-            )
+            diags.append(_diag(m, "GuardNotBoolean",
+                               f"guard of {d.name}.{m.name} is not boolean: "
+                               f"{ast.pp_expr(m.guard)}"))
     return diags
 
 
@@ -125,8 +112,9 @@ def _declared_type(d: ast.BehaviorDefinition, m: ast.MethodDefinition, name: str
     return None if link is None else link.kind
 
 
-# Binary operators whose result is a number, a string or a list
-_ARITHMETIC = ("+", "-", "*", "/")
+# Binary operators whose result is a number, a string or a list: every
+# level that binds tighter than the comparisons
+_ARITHMETIC = frozenset(op for ops, _ in ast.BINARY_LEVELS[3:] for op in ops)
 
 
 def _never_boolean(d: ast.BehaviorDefinition, m: ast.MethodDefinition) -> bool:
@@ -158,61 +146,30 @@ def _check_action(
 
     if isinstance(a, ast.CreateAct):
         if d.kind == "AA":
-            diags.append(
-                Diagnostic("AACannotCreate",
-                           f"AA bodies may not create actors ({where})",
-                           a.loc.line, a.loc.col)
-            )
-            return diags
+            return [_diag(a, "AACannotCreate", f"AA bodies may not create actors ({where})")]
         target = by_name.get(a.behavior)
         if target is None:
-            diags.append(
-                Diagnostic("UnknownBehavior",
-                           f"create names undefined behaviour {a.behavior!r} ({where})",
-                           a.loc.line, a.loc.col)
-            )
-            return diags
+            return [_diag(a, "UnknownBehavior",
+                          f"create names undefined behaviour {a.behavior!r} ({where})")]
         want = CREATE_PAIRS.get(d.kind)
         if target.kind != want:
-            diags.append(
-                Diagnostic("CreateKindMismatch",
-                           f"{d.kind} may create {want} actors only, "
-                           f"{a.behavior!r} is {target.kind} ({where})",
-                           a.loc.line, a.loc.col)
-            )
+            diags.append(_diag(a, "CreateKindMismatch",
+                               f"{d.kind} may create {want} actors only, "
+                               f"{a.behavior!r} is {target.kind} ({where})"))
         bound = d.link(a.bind_to)
         if bound is not None and bound.kind != target.kind:
-            diags.append(
-                Diagnostic("CreateKindMismatch",
-                           f"create binds {target.kind} to {bound.kind} "
-                           f"reference {a.bind_to!r} ({where})",
-                           a.loc.line, a.loc.col)
-            )
-    elif isinstance(a, ast.SetPartnerCall):
-        if d.kind != "WSC":
-            diags.append(
-                Diagnostic("SetPartnerOutsideWSC",
-                           f"only a WSC may send setPartner ({where})",
-                           a.loc.line, a.loc.col)
-            )
+            diags.append(_diag(a, "CreateKindMismatch",
+                               f"create binds {target.kind} to {bound.kind} "
+                               f"reference {a.bind_to!r} ({where})"))
+    elif isinstance(a, (ast.SendAct, ast.SetPartnerCall)):
+        if isinstance(a, ast.SetPartnerCall) and d.kind != "WSC":
+            diags.append(_diag(a, "SetPartnerOutsideWSC",
+                               f"only a WSC may send setPartner ({where})"))
         if a.target not in names and a.target != "self":
-            diags.append(
-                Diagnostic("UnresolvedSendTarget",
-                           f"send target {a.target!r} is not declared ({where})",
-                           a.loc.line, a.loc.col)
-            )
-    elif isinstance(a, ast.SendAct):
-        if a.target not in names and a.target != "self":
-            diags.append(
-                Diagnostic("UnresolvedSendTarget",
-                           f"send target {a.target!r} is not declared ({where})",
-                           a.loc.line, a.loc.col)
-            )
+            diags.append(_diag(a, "UnresolvedSendTarget",
+                               f"send target {a.target!r} is not declared ({where})"))
     elif isinstance(a, ast.Assign):
         if a.name not in names:
-            diags.append(
-                Diagnostic("UndeclaredName",
-                           f"assignment to undeclared name {a.name!r} ({where})",
-                           a.loc.line, a.loc.col)
-            )
+            diags.append(_diag(a, "UndeclaredName",
+                               f"assignment to undeclared name {a.name!r} ({where})"))
     return diags

@@ -85,3 +85,28 @@ def test_mini_round_trips(mini_program):
     once = pp_program(mini_program.defs)
     twice = pp_program(parse_program(once))
     assert once == twice
+
+
+def _guard_source(expr):
+    return f"AA A {{\n    WSO w\n    m() if {expr} {{\n    }}\n}}\n"
+
+
+def test_binary_operators_follow_the_precedence_table():
+    def grouped(expr):
+        (d,) = parse_program(_guard_source(expr))
+        return ast.pp_expr(d.methods[0].guard)
+
+    assert grouped("a || b && c == d + e * -f") == "(a || (b && (c == (d + (e * -f)))))"
+    assert grouped("a - b - c") == "((a - b) - c)"
+    # comparisons do not chain: the second one ends the guard early
+    for expr, op, col in (("a < b < c", "<", 18), ("a == b == c", "==", 19)):
+        with pytest.raises(ParseError) as e:
+            parse_program(_guard_source(expr))
+        assert (e.value.line, e.value.col) == (3, col)
+        assert f"expected '{{', found '{op}'" in str(e.value)
+
+
+def test_end_of_file_after_a_trailing_comment_has_its_column():
+    with pytest.raises(ParseError) as e:
+        parse_program("AA A { // a long trailing comment")
+    assert (e.value.line, e.value.col) == (1, 34)

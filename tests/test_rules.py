@@ -252,13 +252,6 @@ def test_compute_pairs_signal_with_notification(mini_program):
 def test_a_ws_never_partners_itself(mini_program):
     alloc = AddressAllocator()
     ws = instantiate(mini_program, "MiniWS", [], alloc, addr=Address("MiniWS", "WS"))
-    config = Configuration(Fragment.make(actors=(ws,)))
-    with pytest.raises(SelfPartner):
-        rules.set_partner(config, ws.addr, ws.addr)
-    partnered = rules.set_partner(config, ws.addr, OUTSIDE)
-    again = rules.set_partner(partnered, ws.addr, OUTSIDE)
-    assert again.top.actor(ws.addr).links.partner_ws == OUTSIDE
-
     # a delivered setPartner call wires the link in the same step
     idle = ws.evolve(p=ProcessingState.READY, last_signal=Event.READY,
                      state=ws.state.with_queue(()))
