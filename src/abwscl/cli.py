@@ -5,7 +5,8 @@ choreography and rewrites it to quiescence, `check` decides whether two
 sides compose at a named boundary, `export` writes a skeleton service
 document.  Verdicts are printed twice: one JSON line for machines, then
 prose.  Exit codes: 0 success/composable, 1 unparseable or invalid input
-(a kind mismatch in `check` included), 2 unknown name, 3 step limit
+(a kind mismatch in `check` and an error raised while `run` evaluates
+the program included), 2 unknown name, 3 step limit
 reached, 4 incompatible, 5 member overlap, 6 export kind mismatch.
 """
 from __future__ import annotations
@@ -71,10 +72,14 @@ def cmd_run(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
         print(f"error: no behaviour named {cfg.name!r}", file=err)
         return UNKNOWN
     alloc = AddressAllocator()
-    config = initial_configuration(program, cfg.name, alloc)
-    trace = engine_run(
-        program, config, max_steps=cfg.max_steps, seed=cfg.seed, alloc=alloc
-    )
+    try:
+        config = initial_configuration(program, cfg.name, alloc)
+        trace = engine_run(
+            program, config, max_steps=cfg.max_steps, seed=cfg.seed, alloc=alloc
+        )
+    except AbwsclError as e:
+        print(f"error: {e}", file=err)
+        return INVALID
     text = trace.text()
     if cfg.out is not None:
         cfg.out.write_text(text, encoding="utf-8")

@@ -2,9 +2,13 @@
 exhaustive exploration.
 
 A run repeatedly asks enabled_rules for every instance whose side
-conditions hold, lets the scheduler pick one, and applies it.  All state
-lives in the immutable Configuration; the engine itself only carries the
-allocator and the not-yet-consumed feed messages.
+conditions hold, lets the scheduler pick one, and applies it.  Whether
+a rule applies is rules.py's answer alone: enabled_rules offers what
+rules.site_rule, signal_rule, message_rule and feed_rule accept, and
+apply_instance reads what a step produced from the step the rule's
+Fragment.derive call recorded.  All state lives in the immutable
+Configuration; the engine itself only carries the allocator and the
+not-yet-consumed feed messages.
 """
 from __future__ import annotations
 
@@ -15,24 +19,17 @@ from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import rules
-from . import syntax as ast
 from .errors import AbwsclError, SilentDivergence
-from .program import Program, eval_in_state, guard_accepts
+from .program import Program
 from .terms import (
     Address,
     AddressAllocator,
     AppMessage,
     Configuration,
-    Event,
     EventMessage,
     Fragment,
-    ProcessingState,
-    Record,
     _without,
-    blocked,
     members,
-    ready_signal,
-    receptionists,
 )
 
 
@@ -125,104 +122,36 @@ class Trace:
 # -- enumeration --------------------------------------------------------------
 
 
-def _deliverable(program: Program, top: Fragment, am: AppMessage) -> bool:
-    actor = top.actor(am.dest)
-    if actor is None or ready_signal(actor) not in top.events:
-        return False
-    method = am.method
-    if method is None:
-        return False
-    try:
-        return guard_accepts(program, actor, method, am.args)
-    except AbwsclError:
-        return False
-
-
-def _target_bound(program: Program, actor, head) -> bool:
-    """Does the send or setPartner at the head of the queue name an address?"""
-    try:
-        target = eval_in_state(program, actor, ast.Name(ident=head.target))
-    except AbwsclError:
-        return False
-    return isinstance(target, Address)
-
-
 def _section_rules(program: Program, top: Fragment) -> List[RuleInstance]:
-    """What the actors and signals enable: Request or a create rule at each
-    running actor, SendIn/SendOut or Compute at each signal.  These read
-    the actors, the signals and the program, and nothing else."""
+    """What the actors and signals enable, as rules.site_rule and
+    rules.signal_rule decide: Request or a create rule at a running actor,
+    SendIn, SendOut or Compute at a signal.  These read the actors, the
+    signals and the program, and nothing else."""
     insts: List[RuleInstance] = []
-    running = ProcessingState.RUNNING
     for a in top.actors:
-        if a.p is not running:
-            continue
-        queue = a.state.queue
-        if not queue:
-            insts.append(RuleInstance("Request", a.addr.id, "ready", a.addr))
-            continue
-        head = queue[0]
-        if isinstance(head, (ast.SendAct, ast.SetPartnerCall)):
-            if _target_bound(program, a, head):
-                insts.append(RuleInstance("Request", a.addr.id, head.canon(), a.addr))
-            continue
-        if not isinstance(head, ast.CreateAct) or not program.has(head.behavior):
-            continue
-        created = program.definition(head.behavior).kind
-        if a.kind == "WSO" and created == "AA":
-            insts.append(RuleInstance("CreateAA", a.addr.id, head.canon(), a.addr))
-        elif a.kind == "WS" and created == "WSO" and a.links.owner_wso is None:
-            insts.append(RuleInstance("CreateWSO", a.addr.id, head.canon(), a.addr))
-        elif (
-            a.kind == "WSC"
-            and created == "WS"
-            and a.links.partner_1 is None
-            and a.links.partner_2 is None
-            and len(queue) >= 2
-            and isinstance(queue[1], ast.CreateAct)
-            and program.has(queue[1].behavior)
-            and program.definition(queue[1].behavior).kind == "WS"
-        ):
-            insts.append(RuleInstance("CreateWSs", a.addr.id, head.canon(), a.addr))
-
+        rid = rules.site_rule(program, a)
+        if rid.__class__ is str:
+            queue = a.state.queue
+            payload = queue[0].canon() if queue else "ready"
+            insts.append(RuleInstance(rid, a.addr.id, payload, a.addr))
     for ev in top.events:
-        if ev.event is Event.TRANSMIT:
-            if top.actor(ev.dest) is None:
-                continue
-            dest = ev.value.get("dest") if isinstance(ev.value, Record) else None
-            call = ev.value.get("call") if isinstance(ev.value, Record) else None
-            if not isinstance(dest, Address) or not isinstance(call, Record):
-                continue
-            route = rules.send_route(top, ev.src, dest)
-            if route is not None:
-                insts.append(RuleInstance(route, ev.dest.id, ev.canon(), ev))
-        elif ev.event in (Event.COMPLETE, Event.DELIVER):
-            t = top.actor(ev.dest)
-            if (
-                t is not None
-                and t.p is ProcessingState.READY
-                and blocked(t.last_signal, ev.event)
-            ):
-                insts.append(RuleInstance("Compute", ev.dest.id, ev.canon(), ev))
+        rid = rules.signal_rule(program, top, ev)
+        if rid.__class__ is str:
+            insts.append(RuleInstance(rid, ev.dest.id, ev.canon(), ev))
     return insts
 
 
 def _message_rules(
-    program: Program, top: Fragment, mem_ids, am: AppMessage
+    program: Program, top: Fragment, am: AppMessage
 ) -> Tuple[RuleInstance, ...]:
-    """What one pending message enables: SetPartner or ReadyDeliver when
-    it is addressed to a member that is ready and whose guard accepts it,
-    nothing while that member cannot take it, and Out when it is addressed
-    outside.  Reads the message, the members (`mem_ids` holds their ids),
-    the destination actor, its ready signal and its guard."""
-    dest = am.dest
-    # equal addresses share their id, so an id outside the members rules
-    # an address out without hashing the address itself
-    if dest.id in mem_ids and dest in members(top):
-        if not _deliverable(program, top, am):
-            return ()
-        rid = "SetPartner" if am.method == "setPartner" else "ReadyDeliver"
-        return (RuleInstance(rid, dest.id, am.canon(), am),)
-    return (RuleInstance("Out", dest.id, am.canon(), am),)
+    """What one pending message enables, as rules.message_rule decides:
+    SetPartner, ReadyDeliver or Out, or nothing while it is refused.
+    Reads the message, the members, the destination actor, its ready
+    signal and its guard."""
+    rid = rules.message_rule(program, top, am)
+    if rid.__class__ is str:
+        return (RuleInstance(rid, am.dest.id, am.canon(), am),)
+    return ()
 
 
 def enabled_rules(
@@ -238,35 +167,31 @@ def enabled_rules(
 
     `cache` is a search's own dict, the one apply_cached fills.  Under the
     actor and signal sections of the state key it keeps what those
-    sections enable, the member ids, and each pending message's instances
-    by the message's text, so a state computes only what no earlier state
-    of the search has answered.  Without it, as in a run, nothing is kept
+    sections enable and each pending message's instances by the
+    message's text, so a state computes only what no earlier state of
+    the search has answered.  Without it, as in a run, nothing is kept
     and no key is built."""
     top = config.top
     if cache is None:
         insts = _section_rules(program, top)
-        mem_ids = {a.addr.id for a in top.actors}
         for am in {am.canon(): am for am in top.apps}.values():
-            insts += _message_rules(program, top, mem_ids, am)
+            insts += _message_rules(program, top, am)
     else:
         key = top.key()
         section = (key[1], key[2])  # a pair of tuples: never an _effect_key
         entry = cache.get(section)
         if entry is None:
-            entry = cache[section] = (
-                tuple(_section_rules(program, top)), {a.addr.id for a in top.actors}, {}
-            )
-        found, mem_ids, fates = entry
+            entry = cache[section] = (tuple(_section_rules(program, top)), {})
+        found, fates = entry
         insts = list(found)
         for text, am in dict(zip(key[3], top.apps)).items():
             fate = fates.get(text)
             if fate is None:
-                fate = fates[text] = _message_rules(program, top, mem_ids, am)
+                fate = fates[text] = _message_rules(program, top, am)
             insts += fate
 
-    recep = receptionists(top)
     for f in feeds:
-        if f.dest in recep:
+        if rules.feed_rule(top, f) == "In":
             insts.append(RuleInstance("In", f.dest.id, f.canon(), f))
 
     return tuple(sorted(insts, key=_ORDER))
@@ -284,6 +209,24 @@ def allocator_for(config: Configuration) -> AddressAllocator:
     return AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
 
 
+# How apply_instance calls each rule with (program, config, subject,
+# alloc).  Each call looks the rule up in the module, so a wrapper
+# installed on a rule is the one called.
+_CALLS = {
+    "Request": lambda p, c, s, a: rules.step_request(p, c, s),
+    "Compute": lambda p, c, s, a: rules.step_compute(p, c, s),
+    "SendIn": lambda p, c, s, a: rules.aa_send_in(p, c, s),
+    "SendOut": lambda p, c, s, a: rules.aa_send_out(p, c, s),
+    "ReadyDeliver": lambda p, c, s, a: rules.deliver_ready(p, c, s),
+    "SetPartner": lambda p, c, s, a: rules.deliver_ready(p, c, s),
+    "Out": lambda p, c, s, a: rules.eject(p, c, s),
+    "In": lambda p, c, s, a: rules.boundary_in(c, s),
+    "CreateAA": lambda p, c, s, a: rules.create_aa(p, c, s, a),
+    "CreateWSO": lambda p, c, s, a: rules.create_wso(p, c, s, a),
+    "CreateWSs": lambda p, c, s, a: rules.create_wss(p, c, s, a),
+}
+
+
 def apply_instance(
     program: Program,
     config: Configuration,
@@ -291,44 +234,23 @@ def apply_instance(
     alloc: AddressAllocator,
 ) -> Tuple[Configuration, Tuple[str, ...], Tuple]:
     """Apply one enabled instance to its subject; returns (config,
-    produced, artifacts).
+    produced, artifacts), both read from the step the rule recorded.
 
-    Artifacts are the message objects the step moved across a meaningful
-    line: the AppMessage a routed send produced, or the message that
-    crossed the boundary.  An instance whose subject is no longer pending
-    raises the rule's own error.
+    `produced` is each born actor as `actor <id>`, then the text of each
+    new message; `artifacts` are the new application messages.  An
+    ejection reports the message it consumed for both.  An instance
+    whose subject is no longer pending raises the rule's own error.
     """
-    rid, subject = inst.rule_id, inst.subject
-    if rid == "Request":
-        cfg, produced = rules.step_request(program, config, subject)
-        return cfg, produced, ()
-    if rid == "Compute":
-        cfg, produced = rules.step_compute(program, config, subject.dest, subject)
-        return cfg, produced, ()
-    if rid in ("SendIn", "SendOut"):
-        fn = rules.aa_send_in if rid == "SendIn" else rules.aa_send_out
-        cfg, produced = fn(program, config, subject)
-        return cfg, produced, cfg.top._step[3][:1]
-    if rid in ("ReadyDeliver", "SetPartner"):
-        cfg, produced = rules.deliver_ready(program, config, subject)
-        return cfg, produced, ()
-    if rid == "Out":
-        cfg, produced = rules.eject(config, subject)
-        return cfg, produced, (subject,)
-    if rid == "In":
-        cfg = rules.boundary_in(config, subject)
-        accepted = cfg.top._step[3]
-        return cfg, (accepted[0].canon(),), accepted
-    if rid == "CreateAA":
-        cfg, produced = rules.create_aa(program, config, subject, alloc)
-        return cfg, produced, ()
-    if rid == "CreateWSO":
-        cfg, produced = rules.create_wso(program, config, subject, alloc)
-        return cfg, produced, ()
-    if rid == "CreateWSs":
-        cfg, produced = rules.create_wss(program, config, subject, alloc)
-        return cfg, produced, ()
-    raise AbwsclError(f"unknown rule id {rid!r}")
+    call = _CALLS.get(inst.rule_id)
+    if call is None:
+        raise AbwsclError(f"unknown rule id {inst.rule_id!r}")
+    subject = inst.subject
+    cfg = call(program, config, subject, alloc)
+    if inst.rule_id == "Out":
+        return cfg, (subject.canon(),), (subject,)
+    _actor, born, _gone, new, _restriction = cfg.top._step
+    produced = tuple([f"actor {a.addr.canon()}" for a in born] + [m.canon() for m in new])
+    return cfg, produced, tuple([m for m in new if m.__class__ is AppMessage])
 
 
 def _effect_key(top: Fragment, inst: RuleInstance):

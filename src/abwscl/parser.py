@@ -93,7 +93,11 @@ def tokenize(src: str) -> List[Token]:
             if i >= n:
                 raise ParseError("unterminated string", line, col)
             i += 1
-            toks.append(Token("string", "".join(buf), line, col))
+            text = "".join(buf)
+            toks.append(Token("string", text, line, col))
+            if "\n" in text:  # an escaped newline still ends a line
+                line += text.count("\n")
+                line_start = src.rindex("\n", 0, i) + 1
             continue
         for p in _PUNCT:
             if src.startswith(p, i):

@@ -1,11 +1,25 @@
 """The rewrite rules, as pure functions from configuration to configuration.
 
-Every function checks its own applicability and raises a specific error
-when misapplied; engine.enabled_rules enumerates the instances that apply
-cleanly.  A rule rewrites a sub-multiset of the fragment: it builds its
-successor with one Fragment.derive call, naming the actor it replaces,
-the actors it creates, the messages it consumes and produces, and the
-restriction when an ejection publishes names.
+Which rule applies to a term is decided here and nowhere else, by one
+function per kind of subject:
+
+    site_rule      a running actor: Request, or the create rule its
+                   queue head and kind allow
+    signal_rule    a signal: SendIn or SendOut for a transmit, Compute
+                   for the notification its blocked receiver awaits
+    message_rule   a pending application message: SetPartner or
+                   ReadyDeliver at a ready member that accepts it, Out
+                   when its destination is no member
+    feed_rule      a message from outside: In at a receptionist
+
+Each returns the id of the rule that applies, or the error that refuses
+every rule of its kind; a condition whose evaluation raises refuses with
+that error.  engine.enabled_rules offers what they accept, and each rule
+raises what they refuse.  A rule rewrites a sub-multiset of the fragment
+and returns only its successor, built with one Fragment.derive call
+naming the actor it replaces, the actors it creates, the messages it
+consumes and produces, and the restriction when an ejection publishes
+names; the step that call records is the rule's whole report.
 
 Signals travel to an actor's handler tau; notifications travel back to the
 actor.  The lifecycle of one send is:
@@ -25,10 +39,11 @@ and of one delivery:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Type, Union
 
 from . import syntax as ast
 from .errors import (
+    AbwsclError,
     FreshnessViolation,
     GuardRejected,
     NoPendingMessage,
@@ -77,10 +92,9 @@ from .terms import (
     value_acquaintances,
 )
 
-Produced = Tuple[str, ...]
-
-
-# -- fragment surgery --------------------------------------------------------
+# The id of the rule that applies, or what refuses it: the class of the
+# error the rule raises, or the error a side condition raised itself.
+Verdict = Union[str, Type[AbwsclError], AbwsclError]
 
 
 def _get_actor(config: Configuration, addr: Address) -> ActorTerm:
@@ -90,110 +104,59 @@ def _get_actor(config: Configuration, addr: Address) -> ActorTerm:
     return a
 
 
-# -- generic computation: request and compute --------------------------------
+def _require(verdict: Verdict, rule_id: str, subject, mismatch: Type[AbwsclError]) -> None:
+    """Raise unless `verdict` is `rule_id`: the error the verdict names,
+    or `mismatch` when another rule applies to `subject` instead."""
+    if verdict != rule_id:
+        if isinstance(verdict, AbwsclError):
+            raise verdict
+        if isinstance(verdict, str):
+            raise mismatch(f"{rule_id} does not apply to {subject.canon()}; {verdict} does")
+        raise verdict(f"{rule_id} does not apply to {subject.canon()}")
 
 
-def step_request(
-    program: Program, config: Configuration, site: Address
-) -> Tuple[Configuration, Produced]:
-    """A running actor turns its next piece of work into a signal.
+# -- which rule applies --------------------------------------------------------
 
-    A send at the queue head becomes a transmit signal; a drained queue
-    becomes a ready signal.  Either way the actor blocks on the emitted
-    event.  A create at the head belongs to the create rules instead.
-    """
-    actor = _get_actor(config, site)
+
+def site_rule(program: Program, actor: ActorTerm) -> Verdict:
+    """Request at a running actor whose queue is drained or starts with a
+    send or setPartner call to an address; at a create, CreateAA for a
+    WSO creating an activity, CreateWSO for a WS not yet fronting one,
+    CreateWSs for a WSC creating both partners at once."""
     if actor.p is not ProcessingState.RUNNING:
-        raise NotRunning(f"{site.canon()} is not running")
+        return NotRunning
     queue = actor.state.queue
     if not queue:
-        signal = ready_signal(actor)
-        new = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY)
-    else:
-        head = queue[0]
-        if isinstance(head, ast.CreateAct):
-            raise NotEnabledForCreate(
-                f"{site.canon()} must create via a create rule, not request"
-            )
-        if isinstance(head, ast.SetPartnerCall):
-            method, arg_exprs = "setPartner", (head.arg,)
-        elif isinstance(head, ast.SendAct):
-            method, arg_exprs = head.method, head.args
-        else:
-            # absorb() keeps non-observable actions off the queue head
-            raise NoNextEvent(f"{site.canon()} queue head is not a send")
-        target = eval_in_state(program, actor, ast.Name(ident=head.target))
-        if not isinstance(target, Address):
-            raise UnknownTarget(
-                f"{actor.behavior}.{head.target} does not hold an actor address"
-            )
-        args = tuple(eval_in_state(program, actor, e) for e in arg_exprs)
-        signal = EventMessage(
-            dest=actor.tau,
-            src=site,
-            event=Event.TRANSMIT,
-            value=Record.of(dest=target, call=call_record(method, args)),
-        )
-        new = actor.evolve(
-            p=ProcessingState.READY,
-            last_signal=Event.TRANSMIT,
-            state=actor.state.with_queue(queue[1:]),
-        )
-    return Configuration(config.top.derive(actor=new, new=(signal,))), (signal.canon(),)
+        return "Request"
+    head = queue[0]
+    if isinstance(head, (ast.SendAct, ast.SetPartnerCall)):
+        try:
+            target = eval_in_state(program, actor, ast.Name(ident=head.target))
+        except AbwsclError as e:
+            return e
+        # the target name must hold an actor address
+        return "Request" if isinstance(target, Address) else UnknownTarget
+    if not isinstance(head, ast.CreateAct):
+        # absorb() keeps non-observable actions off the queue head
+        return NoNextEvent
+    created = _kind_created(program, head)
+    if actor.kind == "WSO" and created == "AA":
+        return "CreateAA"
+    if actor.kind == "WS" and created == "WSO":
+        return "CreateWSO" if actor.links.owner_wso is None else WSOAlreadyBound
+    if actor.kind == "WSC" and created == "WS":
+        if actor.links.partner_1 is not None or actor.links.partner_2 is not None:
+            return PartnersAlreadyCreated
+        # both partners are created in one step
+        if len(queue) > 1 and _kind_created(program, queue[1]) == "WS":
+            return "CreateWSs"
+    return NotEnabledForCreate
 
 
-def step_compute(
-    program: Program,
-    config: Configuration,
-    site: Address,
-    notification: EventMessage,
-) -> Tuple[Configuration, Produced]:
-    """A blocked actor consumes the notification its last signal awaits.
-
-    Complete resumes the remaining queue; deliver loads the called method's
-    body.  A deliver whose guard is false is refused and left pending; a
-    notification that is not pending is NoPendingMessage.
-    """
-    if notification.dest != site or notification not in config.top.events:
-        raise NoPendingMessage(
-            f"notification {notification.canon()} is not pending for {site.canon()}"
-        )
-    actor = _get_actor(config, site)
-    if actor.p is not ProcessingState.READY:
-        raise NotRunning(f"{site.canon()} is not blocked on a notification")
-    if not blocked(actor.last_signal, notification.event):
-        raise NotBlockedPair(
-            f"({actor.last_signal}, {notification.event}) not in the block relation"
-        )
-    if notification.event is Event.COMPLETE:
-        new = absorb(program, actor.evolve(p=ProcessingState.RUNNING))
-    else:  # deliver
-        value = notification.value
-        method = value.get("method") if isinstance(value, Record) else None
-        if not isinstance(method, str):
-            raise UnknownMethod(f"deliver to {site.canon()} names no method")
-        args = value.get("args") or ()
-        if not guard_accepts(program, actor, method, args):
-            raise GuardRejected(
-                f"guard of {actor.behavior}.{method} refused the call"
-            )
-        new = load_method(program, actor, method, args)
-    return Configuration(config.top.derive(actor=new, gone=(notification,))), ()
-
-
-# -- signal routing at the handler -------------------------------------------
-
-
-def _signal_parts(config: Configuration, em: EventMessage):
-    if em.event is not Event.TRANSMIT:
-        raise NoPendingMessage(f"{em.canon()} is not a transmit signal")
-    if em not in config.top.events:
-        raise NoPendingMessage(f"not in fragment: {em.canon()}")
-    dest = em.value.get("dest") if isinstance(em.value, Record) else None
-    call = em.value.get("call") if isinstance(em.value, Record) else None
-    if not isinstance(dest, Address) or not isinstance(call, Record):
-        raise UnknownTarget(f"malformed transmit signal {em.canon()}")
-    return dest, call
+def _kind_created(program: Program, act) -> Optional[str]:
+    """The kind of actor a create act makes; None for any other act."""
+    d = program.by_name.get(act.behavior) if isinstance(act, ast.CreateAct) else None
+    return d.kind if d is not None else None
 
 
 def send_route(top: Fragment, src: Address, dest: Address) -> Optional[str]:
@@ -214,61 +177,168 @@ def send_route(top: Fragment, src: Address, dest: Address) -> Optional[str]:
     return None
 
 
-def _route(
-    config: Configuration, em: EventMessage, dest: Address, call: Record
-) -> Tuple[Configuration, Produced]:
-    app = AppMessage(dest=dest, value=call, src=em.src)
+def signal_rule(program: Program, top: Fragment, em: EventMessage) -> Verdict:
+    """SendIn or SendOut, by send_route, for a well-formed transmit
+    signal; Compute for a complete or deliver notification that its
+    receiver is blocked on and, for deliver, whose guard accepts the
+    call.  A ready signal is taken only with a message, by a delivery."""
+    event, value = em.event, em.value
+    if event is Event.READY:
+        return NotBlockedPair
+    if event is Event.TRANSMIT:
+        dest = value.get("dest") if isinstance(value, Record) else None
+        call = value.get("call") if isinstance(value, Record) else None
+        if not isinstance(dest, Address) or not isinstance(call, Record):
+            return UnknownTarget
+        # stuck between activities of different services
+        return send_route(top, em.src, dest) or NotSameWSO
+    actor = top.actor(em.dest)
+    if actor is None:
+        return UnknownActor
+    if actor.p is not ProcessingState.READY:
+        return NotRunning
+    if not blocked(actor.last_signal, event):
+        return NotBlockedPair
+    if event is Event.COMPLETE:
+        return "Compute"
+    method = value.get("method") if isinstance(value, Record) else None
+    if not isinstance(method, str):
+        return UnknownMethod
+    return _accepts(program, actor, method, value.get("args") or (), "Compute")
+
+
+def message_rule(program: Program, top: Fragment, am: AppMessage) -> Verdict:
+    """Out when the message's destination is no member; at a member that
+    has signalled ready, SetPartner for a setPartner call naming one
+    other actor's address and ReadyDeliver for any other call, when the
+    method's guard accepts it."""
+    actor = top.actor(am.dest)
+    if actor is None:
+        return "Out"
+    if ready_signal(actor) not in top.events:
+        return NoPendingMessage
+    method, args = am.method, am.args
+    if method is None:
+        return UnknownMethod
+    if method != "setPartner":
+        return _accepts(program, actor, method, args, "ReadyDeliver")
+    if len(args) != 1 or not isinstance(args[0], Address):
+        return UnknownTarget
+    if args[0] == actor.addr:
+        return SelfPartner
+    return _accepts(program, actor, method, args, "SetPartner")
+
+
+def _accepts(program: Program, actor: ActorTerm, method: str, args, rule_id: str) -> Verdict:
+    try:
+        return rule_id if guard_accepts(program, actor, method, args) else GuardRejected
+    except AbwsclError as e:
+        return e
+
+
+def feed_rule(top: Fragment, am: AppMessage) -> Verdict:
+    """In when the message from outside is addressed to a receptionist."""
+    return "In" if am.dest in receptionists(top) else NotAReceptionist
+
+
+# -- generic computation: request and compute --------------------------------
+
+
+def step_request(program: Program, config: Configuration, site: Address) -> Configuration:
+    """A running actor turns its next piece of work into a signal.
+
+    A send at the queue head becomes a transmit signal; a drained queue
+    becomes a ready signal.  Either way the actor blocks on the emitted
+    event.  A create at the head belongs to the create rules instead.
+    """
+    actor = _get_actor(config, site)
+    _require(site_rule(program, actor), "Request", site, NotEnabledForCreate)
+    queue = actor.state.queue
+    if not queue:
+        signal = ready_signal(actor)
+        new = actor.evolve(p=ProcessingState.READY, last_signal=Event.READY)
+    else:
+        head = queue[0]
+        if isinstance(head, ast.SetPartnerCall):
+            method, arg_exprs = "setPartner", (head.arg,)
+        else:
+            method, arg_exprs = head.method, head.args
+        target = eval_in_state(program, actor, ast.Name(ident=head.target))
+        args = tuple(eval_in_state(program, actor, e) for e in arg_exprs)
+        signal = EventMessage(
+            dest=actor.tau,
+            src=site,
+            event=Event.TRANSMIT,
+            value=Record.of(dest=target, call=call_record(method, args)),
+        )
+        new = actor.evolve(
+            p=ProcessingState.READY,
+            last_signal=Event.TRANSMIT,
+            state=actor.state.with_queue(queue[1:]),
+        )
+    return Configuration(config.top.derive(actor=new, new=(signal,)))
+
+
+def step_compute(
+    program: Program, config: Configuration, notification: EventMessage
+) -> Configuration:
+    """A blocked actor consumes the notification its last signal awaits.
+
+    Complete resumes the remaining queue; deliver loads the called method's
+    body.  A deliver whose guard is false is refused and left pending; a
+    notification that is not pending is NoPendingMessage.
+    """
+    if notification not in config.top.events:
+        raise NoPendingMessage(f"notification {notification.canon()} is not pending")
+    verdict = signal_rule(program, config.top, notification)
+    _require(verdict, "Compute", notification, NotBlockedPair)
+    actor = config.top.actor(notification.dest)
+    if notification.event is Event.COMPLETE:
+        new = absorb(program, actor.evolve(p=ProcessingState.RUNNING))
+    else:  # deliver
+        value = notification.value
+        new = load_method(program, actor, value.get("method"), value.get("args") or ())
+    return Configuration(config.top.derive(actor=new, gone=(notification,)))
+
+
+# -- signal routing at the handler -------------------------------------------
+
+
+def _route(config: Configuration, em: EventMessage) -> Configuration:
+    app = AppMessage(dest=em.value.get("dest"), value=em.value.get("call"), src=em.src)
     complete = EventMessage(
         dest=em.src, src=em.dest, event=Event.COMPLETE, value=Record.of()
     )
-    # the routed message comes first: apply_instance reads it from the record
-    cfg = Configuration(config.top.derive(gone=(em,), new=(app, complete)))
-    return cfg, (app.canon(), complete.canon())
+    return Configuration(config.top.derive(gone=(em,), new=(app, complete)))
 
 
-def aa_send_in(
-    program: Program, config: Configuration, em: EventMessage
-) -> Tuple[Configuration, Produced]:
+def aa_send_in(program: Program, config: Configuration, em: EventMessage) -> Configuration:
     """Route a transmit between sibling AAs: same owner, same interface.
 
     The handler (the owning WSO) turns the signal into an AppMessage for
     the sibling and completes the sender.
     """
-    dest, call = _signal_parts(config, em)
-    _get_actor(config, em.src)  # a missing sender is UnknownActor
-    route = send_route(config.top, em.src, dest)
-    if route == "SendOut":
-        raise UnknownTarget(
-            f"send-in routes AA-to-AA sends only, not {em.canon()}"
-        )
-    if route is None:
-        raise NotSameWSO(
-            f"{em.src.canon()} and {dest.canon()} belong to different services"
-        )
-    return _route(config, em, dest, call)
+    if em not in config.top.events:
+        raise NoPendingMessage(f"not in fragment: {em.canon()}")
+    _require(signal_rule(program, config.top, em), "SendIn", em, NotSameWSO)
+    return _route(config, em)
 
 
-def aa_send_out(
-    program: Program, config: Configuration, em: EventMessage
-) -> Tuple[Configuration, Produced]:
+def aa_send_out(program: Program, config: Configuration, em: EventMessage) -> Configuration:
     """Route any non-sibling transmit: the handler emits the AppMessage
     toward its destination (local or boundary alike) and completes the
     sender.  Whether the message later leaves the fragment is [out]'s
     decision, keyed on membership."""
-    dest, call = _signal_parts(config, em)
-    if send_route(config.top, em.src, dest) != "SendOut":
-        raise TargetIsLocal(
-            f"{dest.canon()} is an activity actor; AA-to-AA sends route via send-in"
-        )
-    return _route(config, em, dest, call)
+    if em not in config.top.events:
+        raise NoPendingMessage(f"not in fragment: {em.canon()}")
+    _require(signal_rule(program, config.top, em), "SendOut", em, TargetIsLocal)
+    return _route(config, em)
 
 
 # -- delivery ----------------------------------------------------------------
 
 
-def deliver_ready(
-    program: Program, config: Configuration, am: AppMessage
-) -> Tuple[Configuration, Produced]:
+def deliver_ready(program: Program, config: Configuration, am: AppMessage) -> Configuration:
     """Pair an actor's ready signal with one pending message for it.
 
     Both are consumed; a deliver notification carrying the call record is
@@ -278,31 +348,24 @@ def deliver_ready(
     """
     if am not in config.top.apps:
         raise NoPendingMessage(f"not in fragment: {am.canon()}")
-    actor = _get_actor(config, am.dest)
-    ready = ready_signal(actor)
-    if ready not in config.top.events:
-        raise NoPendingMessage(f"{actor.addr.canon()} has not signalled ready")
-    method, args = am.method, am.args
-    if method is None:
-        raise UnknownMethod(f"{am.canon()} names no method")
-    partnering = method == "setPartner"
-    if partnering and (len(args) != 1 or not isinstance(args[0], Address)):
-        raise UnknownTarget(f"setPartner takes one actor address: {am.canon()}")
-    if not guard_accepts(program, actor, method, args):
-        raise GuardRejected(f"guard of {actor.behavior}.{method} refused the call")
+    partnering = am.method == "setPartner"
+    _require(
+        message_rule(program, config.top, am),
+        "SetPartner" if partnering else "ReadyDeliver",
+        am,
+        UnknownActor,
+    )
+    actor = config.top.actor(am.dest)
     # the ready signal and the message become one deliver notification
     deliver = EventMessage(
         dest=actor.addr, src=actor.tau, event=Event.DELIVER, value=am.value
     )
-    partnered = _partnered(actor, args[0]) if partnering else None
-    cfg = Configuration(config.top.derive(actor=partnered, gone=(ready, am), new=(deliver,)))
-    return cfg, (deliver.canon(),)
-
-
-def _partnered(actor: ActorTerm, partner: Address) -> ActorTerm:
-    if partner == actor.addr:
-        raise SelfPartner(f"{actor.addr.canon()} cannot partner itself")
-    return actor.evolve(links=dataclasses.replace(actor.links, partner_ws=partner))
+    partnered = None
+    if partnering:
+        partnered = actor.evolve(links=dataclasses.replace(actor.links, partner_ws=am.args[0]))
+    return Configuration(
+        config.top.derive(actor=partnered, gone=(ready_signal(actor), am), new=(deliver,))
+    )
 
 
 # -- boundary ----------------------------------------------------------------
@@ -311,13 +374,12 @@ def _partnered(actor: ActorTerm, partner: Address) -> ActorTerm:
 def boundary_in(config: Configuration, am: AppMessage) -> Configuration:
     """Accept a message from outside.  Only receptionists are reachable;
     the external sender's identity is not retained."""
-    if am.dest not in receptionists(config.top):
-        raise NotAReceptionist(f"{am.dest.canon()} is not visible from outside")
+    _require(feed_rule(config.top, am), "In", am, NotAReceptionist)
     accepted = AppMessage(dest=am.dest, value=am.value, src=None)
     return Configuration(config.top.derive(new=(accepted,)))
 
 
-def eject(config: Configuration, am: AppMessage) -> Tuple[Configuration, Produced]:
+def eject(program: Program, config: Configuration, am: AppMessage) -> Configuration:
     """Emit one message whose destination lives outside the fragment.
 
     Member addresses exposed by the payload (or the sender stamp) become
@@ -325,40 +387,32 @@ def eject(config: Configuration, am: AppMessage) -> Tuple[Configuration, Produce
     """
     if am not in config.top.apps:
         raise NoPendingMessage(f"not in fragment: {am.canon()}")
-    mem = members(config.top)
-    if am.dest in mem:
+    # any other answer, a refusal included, is about delivering it here
+    if message_rule(program, config.top, am) != "Out":
         raise TargetIsLocal(f"{am.dest.canon()} lives in this fragment")
     restriction = config.top.restriction
     if restriction is not None:
         exposed = value_acquaintances(am.value)
         if am.src is not None:
             exposed |= {am.src}
-        restriction = restriction | (exposed & mem)
-    return Configuration(config.top.derive(gone=(am,), restriction=restriction)), (am.canon(),)
+        restriction = restriction | (exposed & members(config.top))
+    return Configuration(config.top.derive(gone=(am,), restriction=restriction))
 
 
 # -- creation ----------------------------------------------------------------
 
 
+def _creator(
+    program: Program, config: Configuration, site: Address, rule_id: str
+) -> Tuple[ActorTerm, ast.CreateAct]:
+    actor = _get_actor(config, site)
+    _require(site_rule(program, actor), rule_id, site, NotEnabledForCreate)
+    return actor, actor.state.queue[0]
+
+
 def _check_fresh(config: Configuration, addr: Address) -> None:
     if addr in members(config.top) or addr in fragment_acquaintances(config.top):
         raise FreshnessViolation(f"address {addr.canon()} is already known")
-
-
-def _create_head(
-    program: Program, config: Configuration, site: Address, want_kind: str
-) -> Tuple[ActorTerm, ast.CreateAct]:
-    actor = _get_actor(config, site)
-    queue = actor.state.queue
-    if not queue or not isinstance(queue[0], ast.CreateAct):
-        raise NotEnabledForCreate(f"{site.canon()} has no create pending")
-    head = queue[0]
-    created = program.definition(head.behavior)
-    if actor.kind not in ("WSO", "WS", "WSC") or created.kind != want_kind:
-        raise NotEnabledForCreate(
-            f"{actor.kind} {site.canon()} cannot create {created.kind} here"
-        )
-    return actor, head
 
 
 def _birth(
@@ -389,26 +443,22 @@ def _created(
     program: Program, config: Configuration, creator: ActorTerm,
     binds: Sequence[Tuple[str, Address]], rest: tuple,
     born: Tuple[ActorTerm, ...], signals: Tuple[EventMessage, ...],
-) -> Tuple[Configuration, Produced]:
+) -> Configuration:
     """The creator binds each new address, drops its create acts and
     resumes on `rest`; the newborns join with their ready signals."""
     for name, addr in binds:
         creator = write_name(program, creator, name, addr)
     creator = absorb(program, creator.evolve(state=creator.state.with_queue(rest)))
-    cfg = Configuration(config.top.derive(actor=creator, born=born, new=signals))
-    produced = tuple(f"actor {a.addr.canon()}" for a in born)
-    return cfg, produced + tuple(s.canon() for s in signals)
+    return Configuration(config.top.derive(actor=creator, born=born, new=signals))
 
 
 def create_aa(
     program: Program, config: Configuration, site: Address, alloc: AddressAllocator
-) -> Tuple[Configuration, Produced]:
+) -> Configuration:
     """A WSO creates one of its activities.  The newborn inherits the
     creator's interface and answers to the creator; its address stays
     hidden when the fragment is restricted."""
-    creator, head = _create_head(program, config, site, "AA")
-    if creator.kind != "WSO":
-        raise NotEnabledForCreate(f"only a WSO creates activities, not {creator.kind}")
+    creator, head = _creator(program, config, site, "CreateAA")
     newborn, signals = _birth(
         program,
         config,
@@ -424,14 +474,10 @@ def create_aa(
 
 def create_wso(
     program: Program, config: Configuration, site: Address, alloc: AddressAllocator
-) -> Tuple[Configuration, Produced]:
+) -> Configuration:
     """A WS creates the one orchestration it fronts.  The pair is bound
     both ways; a second create on the same WS is refused."""
-    creator, head = _create_head(program, config, site, "WSO")
-    if creator.kind != "WS":
-        raise NotEnabledForCreate(f"only a WS creates its WSO, not {creator.kind}")
-    if creator.links.owner_wso is not None:
-        raise WSOAlreadyBound(f"{site.canon()} already fronts a WSO")
+    creator, head = _creator(program, config, site, "CreateWSO")
     addr = alloc.fresh("WSO", hint=head.behavior)
     newborn, signals = _birth(
         program,
@@ -449,22 +495,12 @@ def create_wso(
 
 def create_wss(
     program: Program, config: Configuration, site: Address, alloc: AddressAllocator
-) -> Tuple[Configuration, Produced]:
+) -> Configuration:
     """A WSC creates both partner services in one step, partner links
     pre-wired each way; the later setPartner messages only confirm them."""
-    creator, first = _create_head(program, config, site, "WS")
-    if creator.kind != "WSC":
-        raise NotEnabledForCreate(f"only a WSC creates services, not {creator.kind}")
-    if creator.links.partner_1 is not None or creator.links.partner_2 is not None:
-        raise PartnersAlreadyCreated(f"{site.canon()} already created its partners")
+    creator, first = _creator(program, config, site, "CreateWSs")
     queue = creator.state.queue
-    if len(queue) < 2 or not isinstance(queue[1], ast.CreateAct):
-        raise NotEnabledForCreate(
-            f"{site.canon()} must create both partners together"
-        )
     second = queue[1]
-    if program.definition(second.behavior).kind != "WS":
-        raise NotEnabledForCreate(f"{second.behavior} is not a service behaviour")
     a1 = alloc.fresh("WS", hint=first.behavior)
     a2 = alloc.fresh("WS", hint=second.behavior)
     if a1 == a2:

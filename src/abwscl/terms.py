@@ -79,10 +79,6 @@ class Record:
     def of(**fields) -> "Record":
         return Record(tuple(sorted(fields.items())))
 
-    @staticmethod
-    def from_dict(d: dict) -> "Record":
-        return Record(tuple(sorted(d.items())))
-
     def get(self, key: str, default=None):
         for k, v in self.items:
             if k == key:

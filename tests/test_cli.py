@@ -81,6 +81,20 @@ def test_invalid_corpus(tmp_path, aa_create_mutant_text):
     assert "AACannotCreate" in err
 
 
+def test_run_reports_an_evaluation_error(tmp_path, corpus_text):
+    # validates, but `!` of a list is a type error once SendSBAA sends
+    send = "wso-ref <- sendSB(selectedBooks)"
+    at = corpus_text.index(send)
+    assert corpus_text.index("AA SendSBAA") < at < corpus_text.index("AA ReceivePBAA")
+    bad = tmp_path / "negated.abwscl"
+    negated = corpus_text.replace(send, "wso-ref <- sendSB(!selectedBooks)", 1)
+    bad.write_text(negated, encoding="utf-8")
+    code, out, err = run_cli("run", "BuyingBookWSC", bad)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_flag_invariants(corpus_file):
     code, _, err = run_cli("run", "BuyingBookWSC", corpus_file, "--max-steps", "0")
     assert code == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from abwscl import interaction, run
+from abwscl import Program, interaction, run
 from abwscl.engine import (
     FairRoundRobin,
     allocator_for,
@@ -124,8 +124,6 @@ WSO RaceWSO {
 
 
 def test_delivery_races_are_visible_to_the_scheduler():
-    from abwscl import Program
-
     program = Program.parse(RACE_SOURCE)
     alloc = AddressAllocator()
     actor = instantiate(
@@ -229,3 +227,61 @@ def test_fairness_bounds_service_time(program):
         trace = golden(program, seed=seed)
         assert trace.quiescent
         assert len(trace.steps) < 400
+
+
+def offered_instances_apply(program, name, seeds):
+    """Run `name` once per seed.  At every state a run passes through,
+    every instance enabled_rules offers applies without raising."""
+    seen = set()
+    for seed in seeds:
+        alloc = AddressAllocator()
+        trace = run(program, initial_configuration(program, name, alloc),
+                    max_steps=500, seed=seed, alloc=alloc)
+        for config in (trace.initial,) + tuple(s.post for s in trace.steps):
+            key = config.top.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            for inst in enabled_rules(program, config):
+                apply_instance(program, config, inst, allocator_for(config))
+    return trace
+
+
+def test_offered_instances_apply_along_corpus_runs(program, mini_program):
+    assert offered_instances_apply(program, "BuyingBookWSC", range(16)).quiescent
+    assert offered_instances_apply(mini_program, "MiniWSC", range(16)).quiescent
+
+
+def test_offered_instances_apply_along_mutant_runs(corpus_text):
+    lines = corpus_text.splitlines(keepends=True)
+    sends = [i for i, line in enumerate(lines) if "<-" in line]
+    assert len(sends) == 32
+    # each single-send deletion, the seeds 0-15 taken in turn
+    for n, i in enumerate(sends):
+        mutant = Program.parse("".join(lines[:i] + lines[i + 1:]))
+        offered_instances_apply(mutant, "BuyingBookWSC", (n % 16,))
+
+
+def test_offered_instances_apply_along_fixture_runs(
+    mutant_program, request_lb_mutant_program, aa_create_mutant_text,
+    no_setpartner_mutant_text,
+):
+    for fixture in (
+        mutant_program, request_lb_mutant_program,
+        Program.parse(aa_create_mutant_text), Program.parse(no_setpartner_mutant_text),
+    ):
+        offered_instances_apply(fixture, "BuyingBookWSC", range(4))
+
+
+@pytest.mark.parametrize("partner", ["ws-ref-1", "3"])
+def test_a_refused_set_partner_call_stays_pending(corpus_text, partner):
+    """A setPartner call naming its own receiver, or no address, is never
+    offered: it stays pending, as a call its guard refuses does."""
+    call = "ws-ref-1 <- setPartner(ws-ref-2)"
+    assert corpus_text.count(call) == 1
+    program = Program.parse(corpus_text.replace(call, f"ws-ref-1 <- setPartner({partner})"))
+    assert program.validate() == ()
+    trace = offered_instances_apply(program, "BuyingBookWSC", range(4))
+    assert trace.quiescent
+    pending = [am for am in trace.final.top.apps if am.method == "setPartner"]
+    assert [am.dest.id for am in pending] == ["UserAgentWS#1"]

@@ -1,6 +1,7 @@
 import pytest
 
 from abwscl import parse_program
+from abwscl.parser import tokenize
 from abwscl.errors import ParseError
 from abwscl import syntax as ast
 from abwscl.syntax import pp_program
@@ -110,3 +111,10 @@ def test_end_of_file_after_a_trailing_comment_has_its_column():
     with pytest.raises(ParseError) as e:
         parse_program("AA A { // a long trailing comment")
     assert (e.value.line, e.value.col) == (1, 34)
+
+
+def test_an_escaped_newline_in_a_string_counts_its_line():
+    toks = tokenize('AA A {\n  x := "a\\\nb"\n  y\n}')
+    assert [(t.text, t.line, t.col) for t in toks[-3:]] == [("y", 4, 3), ("}", 5, 1), ("", 5, 2)]
+    string = next(t for t in toks if t.kind == "string")
+    assert (string.text, string.line, string.col) == ("a\nb", 2, 8)

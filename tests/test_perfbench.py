@@ -16,7 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PER_LAYER = sorted(m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"])
 
 
-@pytest.mark.parametrize("workload", ["check-corpus", "run-trace"])
+def _strict(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+@pytest.mark.parametrize("workload", ["check-corpus", "check-mutants", "run-trace"])
 def test_traced_run_reports_every_per_layer_metric(workload, tmp_path):
     # a copy of the harness beside a link to src/, so its spans land in tmp_path
     (tmp_path / "perfbench").mkdir()
@@ -30,7 +34,11 @@ def test_traced_run_reports_every_per_layer_metric(workload, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
+    # strict JSON: NaN and Infinity are refused
+    result = json.loads(lines[-1], parse_constant=_strict)
     assert result["correct"] is True and result["failed"] == 0
     assert sorted(result["metrics"]) == PER_LAYER
+    # counted only while calls reach the wrappers installed on the rules
+    for name in ("rules.step.calls", "engine.apply_instance.calls", "engine.enabled_rules.calls"):
+        assert result["metrics"][name]["value"] > 0, name
     assert [l for l in lines if l.startswith("absent (wrapped name gone)")] == []

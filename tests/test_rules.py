@@ -96,7 +96,7 @@ def test_create_rules_are_kind_directed(mini_program):
         rules.create_aa(mini_program, config, site, alloc)
     with pytest.raises(NotEnabledForCreate):
         rules.create_wso(mini_program, config, site, alloc)
-    after, produced = rules.create_wss(mini_program, config, site, alloc)
+    after = rules.create_wss(mini_program, config, site, alloc)
     assert len(after.top.actors) == 3
     born = {a.addr for a in after.top.actors} - {site}
     assert {a.kind for a in born} == {"WS"}
@@ -104,14 +104,15 @@ def test_create_rules_are_kind_directed(mini_program):
     ws1, ws2 = sorted(born, key=lambda a: a.id)
     assert after.top.actor(ws1).links.partner_ws == ws2
     assert after.top.actor(ws2).links.partner_ws == ws1
-    assert produced[0].startswith("actor ")
+    # the recorded step names both newborns, which a trace line reports
+    assert after.top._step[1] == tuple(after.top.actor(a) for a in (ws1, ws2))
 
 
 def test_partners_are_created_once(mini_program):
     config, alloc = wsc_start(mini_program)
     site = config.top.actors[0].addr
     creates = config.top.actors[0].state.queue[:2]
-    after, _ = rules.create_wss(mini_program, config, site, alloc)
+    after = rules.create_wss(mini_program, config, site, alloc)
     rearmed = dataclasses.replace(
         after.top.actor(site),
         state=after.top.actor(site).state.with_queue(creates),
@@ -124,7 +125,7 @@ def test_a_service_fronts_one_orchestration(mini_program):
     alloc = AddressAllocator()
     ws = instantiate(mini_program, "MiniWS", [], alloc, addr=Address("MiniWS", "WS"))
     config = Configuration(Fragment.make(actors=(ws,)))
-    after, _ = rules.create_wso(mini_program, config, ws.addr, alloc)
+    after = rules.create_wso(mini_program, config, ws.addr, alloc)
     assert after.top.actor(ws.addr).links.owner_wso is not None
     rearmed = dataclasses.replace(
         after.top.actor(ws.addr),
@@ -158,10 +159,10 @@ def test_sibling_sends_stay_inside_one_service(program):
     config = Configuration(
         Fragment.make(actors=(a1, a2, stranger), events=(em,))
     )
-    after, produced = rules.aa_send_in(program, config, em)
+    after = rules.aa_send_in(program, config, em)
     assert any(am.dest == a2.addr for am in after.top.apps)
     assert any(e.event is Event.COMPLETE and e.dest == a1.addr for e in after.top.events)
-    assert len(produced) == 2
+    assert len(after.top._step[3]) == 2
     cross = transmit(a1, stranger, "receiveRB")
     crossed = Configuration(
         Fragment.make(actors=(a1, a2, stranger), events=(cross,))
@@ -209,7 +210,7 @@ def test_delivery_defers_when_the_guard_refuses():
     # the refused call stays pending rather than vanishing
     assert len(config.top.apps) == 1
     opened = with_actor(config, dataclasses.replace(actor, state=actor.state.set("n", 1)))
-    after, _ = rules.deliver_ready(program, opened, opened.top.apps[0])
+    after = rules.deliver_ready(program, opened, opened.top.apps[0])
     assert after.top.apps == ()
     assert any(e.event is Event.DELIVER for e in after.top.events)
 
@@ -228,7 +229,7 @@ def test_delivery_needs_a_pending_message(mini_program):
     with pytest.raises(NoPendingMessage):
         rules.deliver_ready(mini_program, config, ghost)
     with pytest.raises(NoPendingMessage):
-        rules.eject(config, ghost)
+        rules.eject(mini_program, config, ghost)
 
 
 def test_compute_pairs_signal_with_notification(mini_program):
@@ -244,7 +245,6 @@ def test_compute_pairs_signal_with_notification(mini_program):
         rules.step_compute(
             mini_program,
             Configuration(Fragment.make(actors=(waiting,), events=(wrong,))),
-            site,
             wrong,
         )
 
@@ -263,7 +263,7 @@ def test_a_ws_never_partners_itself(mini_program):
 
     with pytest.raises(SelfPartner):
         rules.deliver_ready(mini_program, *delivering(ws.addr))
-    after, _ = rules.deliver_ready(mini_program, *delivering(OUTSIDE))
+    after = rules.deliver_ready(mini_program, *delivering(OUTSIDE))
     assert after.top.actor(ws.addr).links.partner_ws == OUTSIDE
     assert after.top.apps == () and after.top.events[0].event is Event.DELIVER
 
@@ -292,12 +292,13 @@ def test_ejection_publishes_carried_members(mini_program):
     frag = restrict(
         Fragment.make(actors=(ws, hidden), apps=(out,)), {ws.addr}
     )
-    after, produced = rules.eject(Configuration(frag), out)
+    after = rules.eject(mini_program, Configuration(frag), out)
     assert receptionists(after.top) == {ws.addr, hidden.addr}
-    assert produced == (out.canon(),)
+    assert after.top.apps == ()
     inside = AppMessage(hidden.addr, call_record("ping", ()), src=ws.addr)
     with pytest.raises(TargetIsLocal):
         rules.eject(
+            mini_program,
             Configuration(
                 Fragment.make(actors=(ws, hidden), apps=(inside,))
             ),

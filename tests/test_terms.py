@@ -59,7 +59,7 @@ def test_canon_value_spellings():
 
 def test_record_fields_are_order_free():
     r1 = Record.of(b=2, a=1)
-    r2 = Record.from_dict({"a": 1, "b": 2})
+    r2 = Record.of(**{"a": 1, "b": 2})
     assert r1 == r2
     assert r1.canon() == "{a: 1, b: 2}"
     assert r1.get("a") == 1
@@ -189,7 +189,8 @@ values = st.recursive(
     | st.text(max_size=4)
     | st.builds(Address, st.sampled_from(["a", "b", "c"])),
     lambda leaf: st.lists(leaf, max_size=3).map(tuple)
-    | st.dictionaries(st.sampled_from(["k1", "k2"]), leaf, max_size=2).map(Record.from_dict),
+    | st.dictionaries(st.sampled_from(["k1", "k2"]), leaf, max_size=2)
+    .map(lambda d: Record.of(**d)),
     max_leaves=8,
 )
 
@@ -201,6 +202,6 @@ def test_canon_value_is_stable(v):
 
 @given(st.dictionaries(st.text(max_size=3), st.integers(-5, 5), max_size=4))
 def test_record_canon_ignores_insertion_order(d):
-    base = Record.from_dict(d)
+    base = Record.of(**d)
     for order in itertools.islice(itertools.permutations(d.items()), 6):
-        assert Record.from_dict(dict(order)).canon() == base.canon()
+        assert Record.of(**dict(order)).canon() == base.canon()
