@@ -135,7 +135,7 @@ def _section_rules(program: Program, top: Fragment) -> List[RuleInstance]:
             payload = queue[0].canon() if queue else "ready"
             insts.append(RuleInstance(rid, a.addr.id, payload, a.addr))
     for ev in top.events:
-        rid = rules.signal_rule(program, top, ev)
+        rid = rules.signal_rule(top, ev)
         if rid.__class__ is str:
             insts.append(RuleInstance(rid, ev.dest.id, ev.canon(), ev))
     return insts

@@ -124,10 +124,6 @@ class UnknownName(AbwsclError):
 
 # --- interaction checker --------------------------------------------------
 
-class NotABoundaryEvent(AbwsclError):
-    pass
-
-
 class BoundaryMismatch(AbwsclError):
     pass
 

@@ -5,8 +5,11 @@ orchestration with its activity actors, or an interface service alone)
 together with the address it talks through.  Every move the fragment can
 make is an interaction step: internal rewrites are silent, a message
 leaving the fragment is an emit, a message entering from the bound peer
-is a consume.  Steps at message level carry the call (emit-2/consume-2);
-steps at signal level also carry the event (emit-1/consume-1).
+is a consume.  A check builds each visible step where its message
+crosses: the ejection of a member's message is an emit-2, a peer call
+injected at the anchor a consume-2, each carrying the call.  The
+signal-level shapes (emit-1/consume-1), which also carry the event, are
+only printed and dualized.
 
 Printed labels follow one convention for every shape: the far-side
 address first, the member address second, then the payload.  The dual of
@@ -33,7 +36,6 @@ from . import syntax as ast
 from .engine import apply_cached, enabled_rules, search
 from .errors import (
     BoundaryMismatch,
-    NotABoundaryEvent,
     NotAWS,
     NotAWSO,
     UnknownName,
@@ -205,47 +207,7 @@ class PartialConfiguration:
         return members(self.config.top)
 
 
-# -- step classification -------------------------------------------------------
-
-
-def _substitute(pc: PartialConfiguration, far: Optional[Address]) -> Optional[Address]:
-    # the gate stands in for the peer in label slots
-    if far is not None and far == pc.gate:
-        return pc.peer
-    return far
-
-
-def _classify_message(pc: PartialConfiguration, msg) -> InteractionStep:
-    mem = pc.members()
-    if isinstance(msg, AppMessage):
-        dest, src, ev, value = msg.dest, msg.src, None, msg.value
-        numeral = "2"
-    else:
-        dest, src, ev, value = msg.dest, msg.src, msg.event, msg.value
-        numeral = "1"
-    dest_in = dest in mem
-    src_in = src in mem if src is not None else None
-    if dest_in and src_in:
-        raise NotABoundaryEvent(f"both endpoints are members: {msg.canon()}")
-    if not dest_in and src_in is False:
-        raise NotABoundaryEvent(f"neither endpoint is a member: {msg.canon()}")
-    if not dest_in:
-        return InteractionStep(
-            boundary=pc.boundary,
-            shape=f"emit-{numeral}",
-            outer=_substitute(pc, dest),
-            inner=src if src is not None else pc.anchor,
-            event=ev,
-            payload=value,
-        )
-    return InteractionStep(
-        boundary=pc.boundary,
-        shape=f"consume-{numeral}",
-        outer=_substitute(pc, src) if src is not None else pc.peer,
-        inner=dest,
-        event=ev,
-        payload=value,
-    )
+# -- boundary steps ------------------------------------------------------------
 
 
 def _emit_visible(pc: PartialConfiguration, am: AppMessage) -> bool:
@@ -427,7 +389,9 @@ def _inject(pc: PartialConfiguration, config: Configuration, feed: AppMessage):
     for am in config.top.apps:
         if am.dest == feed.dest and am.method == feed.method:
             return None
-    return _classify_message(pc, feed), rules.boundary_in(config, feed)
+    step = InteractionStep(boundary=pc.boundary, shape="consume-2", outer=pc.peer,
+                           inner=feed.dest, payload=feed.value)
+    return step, rules.boundary_in(config, feed)
 
 
 # silent, touch only their own site, and cannot be disabled by any other move
@@ -518,7 +482,10 @@ def _edges(pc: PartialConfiguration, config, env_left, effects, *, free_peer=Tru
         if inst.rule_id == "Out":
             am = inst.subject
             if _emit_visible(pc, am):
-                step = _classify_message(pc, am)
+                # a call to the gate is labelled with the peer it stands for
+                far = pc.peer if am.dest == pc.gate else am.dest
+                step = InteractionStep(boundary=pc.boundary, shape="emit-2", outer=far,
+                                       inner=am.src, payload=am.value)
             else:
                 step = silent(pc.boundary)
             moves.append((step, am, nxt, env_left))

@@ -177,11 +177,13 @@ def send_route(top: Fragment, src: Address, dest: Address) -> Optional[str]:
     return None
 
 
-def signal_rule(program: Program, top: Fragment, em: EventMessage) -> Verdict:
+def signal_rule(top: Fragment, em: EventMessage) -> Verdict:
     """SendIn or SendOut, by send_route, for a well-formed transmit
     signal; Compute for a complete or deliver notification that its
-    receiver is blocked on and, for deliver, whose guard accepts the
-    call.  A ready signal is taken only with a message, by a delivery."""
+    receiver is blocked on.  A deliver's guard was decided when
+    message_rule let its call be delivered, and its receiver has been
+    blocked since.  A ready signal is taken only with a message, by a
+    delivery."""
     event, value = em.event, em.value
     if event is Event.READY:
         return NotBlockedPair
@@ -199,12 +201,7 @@ def signal_rule(program: Program, top: Fragment, em: EventMessage) -> Verdict:
         return NotRunning
     if not blocked(actor.last_signal, event):
         return NotBlockedPair
-    if event is Event.COMPLETE:
-        return "Compute"
-    method = value.get("method") if isinstance(value, Record) else None
-    if not isinstance(method, str):
-        return UnknownMethod
-    return _accepts(program, actor, method, value.get("args") or (), "Compute")
+    return "Compute"
 
 
 def message_rule(program: Program, top: Fragment, am: AppMessage) -> Verdict:
@@ -285,13 +282,12 @@ def step_compute(
     """A blocked actor consumes the notification its last signal awaits.
 
     Complete resumes the remaining queue; deliver loads the called method's
-    body.  A deliver whose guard is false is refused and left pending; a
-    notification that is not pending is NoPendingMessage.
+    body, whose guard accepted the call at delivery.  A notification that
+    is not pending is NoPendingMessage.
     """
     if notification not in config.top.events:
         raise NoPendingMessage(f"notification {notification.canon()} is not pending")
-    verdict = signal_rule(program, config.top, notification)
-    _require(verdict, "Compute", notification, NotBlockedPair)
+    _require(signal_rule(config.top, notification), "Compute", notification, NotBlockedPair)
     actor = config.top.actor(notification.dest)
     if notification.event is Event.COMPLETE:
         new = absorb(program, actor.evolve(p=ProcessingState.RUNNING))
@@ -320,7 +316,7 @@ def aa_send_in(program: Program, config: Configuration, em: EventMessage) -> Con
     """
     if em not in config.top.events:
         raise NoPendingMessage(f"not in fragment: {em.canon()}")
-    _require(signal_rule(program, config.top, em), "SendIn", em, NotSameWSO)
+    _require(signal_rule(config.top, em), "SendIn", em, NotSameWSO)
     return _route(config, em)
 
 
@@ -331,7 +327,7 @@ def aa_send_out(program: Program, config: Configuration, em: EventMessage) -> Co
     decision, keyed on membership."""
     if em not in config.top.events:
         raise NoPendingMessage(f"not in fragment: {em.canon()}")
-    _require(signal_rule(program, config.top, em), "SendOut", em, TargetIsLocal)
+    _require(signal_rule(config.top, em), "SendOut", em, TargetIsLocal)
     return _route(config, em)
 
 

@@ -118,9 +118,6 @@ class Env:
                 return scope[name]
         raise UnknownName(name)
 
-    def has(self, name: str) -> bool:
-        return any(name in scope for scope in self.scopes)
-
 
 _NUM = (int, float)
 
@@ -258,10 +255,6 @@ class OpaqueLocal(Action):
         return "other-local-computations"
 
 
-def pp_action(a: Action) -> str:
-    return a.canon()
-
-
 # --- declarations ----------------------------------------------------------
 
 
@@ -322,7 +315,7 @@ def pp_method(m: MethodDefinition, indent: str = "  ") -> str:
     head = f"{indent}{'local ' if m.local else ''}{m.name}({params}) if {pp_expr(m.guard)} {{"
     lines = [head]
     for a in m.body:
-        lines.append(indent + "  " + pp_action(a))
+        lines.append(indent + "  " + a.canon())
     lines.append(indent + "}")
     return "\n".join(lines)
 
@@ -338,7 +331,7 @@ def pp_definition(d: BehaviorDefinition) -> str:
         params = ", ".join(f"{t} {n}" for t, n in d.init.params)
         lines.append(f"  init({params}) {{")
         for a in d.init.body:
-            lines.append("    " + pp_action(a))
+            lines.append("    " + a.canon())
         lines.append("  }")
     for m in d.methods:
         lines.append(pp_method(m))

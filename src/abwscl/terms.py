@@ -85,9 +85,6 @@ class Record:
                 return v
         return default
 
-    def keys(self):
-        return [k for k, _ in self.items]
-
     def canon(self) -> str:
         memo = self.__dict__.get("_canon")
         if memo is None:

@@ -16,10 +16,13 @@ from abwscl.terms import (
     AddressAllocator,
     AppMessage,
     Configuration,
+    Event,
     Fragment,
     call_record,
     ready_signal,
 )
+
+from conftest import MINI_SOURCE
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 
@@ -285,3 +288,25 @@ def test_a_refused_set_partner_call_stays_pending(corpus_text, partner):
     assert trace.quiescent
     pending = [am for am in trace.final.top.apps if am.method == "setPartner"]
     assert [am.dest.id for am in pending] == ["UserAgentWS#1"]
+
+
+def test_a_delivered_call_is_not_asked_its_guard_again():
+    """A guard is decided once, at delivery.  The driver's setPartner
+    guard reads the partner link that the call itself rewires: asked
+    again at Compute, it would refuse the call it accepted and leave the
+    driver blocked on its deliver notification."""
+    driver_set_partner = "setPartner(WS ws) if true {\n        ws-ref := ws\n    }\n\n    go()"
+    assert MINI_SOURCE.count(driver_set_partner) == 1
+    source = MINI_SOURCE.replace(
+        driver_set_partner, driver_set_partner.replace("if true", "if ws-ref != ws")
+    ).replace("ws-ref-1 <- setPartner(ws-ref-2)", "ws-ref-1 <- setPartner(self)")
+    program = Program.parse(source)
+    assert program.validate() == ()
+    for seed in range(4):
+        alloc = AddressAllocator()
+        trace = run(program, initial_configuration(program, "MiniWSC", alloc),
+                    seed=seed, alloc=alloc)
+        assert trace.quiescent
+        assert [e for e in trace.final.top.events if e.event is Event.DELIVER] == []
+        driver = next(a for a in trace.final.top.actors if a.behavior == "MiniDriverWS")
+        assert driver.links.partner_ws.id == "MiniWSC#0"

@@ -1,3 +1,7 @@
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +25,15 @@ from abwscl.interaction import (
 from abwscl.terms import Address, Event, call_record, members
 
 from test_acceptance import CORPUS_PAIRS, PAIR_SOURCE
+
+# the benchmark's check-mutants cases, read from its own modules
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    from expected import MUTANTS as BENCHMARK_MUTANTS
+    from workloads import corpus_mutants
+finally:
+    sys.path.remove(PERFBENCH)
 
 UA_WS = Address("UserAgentWS", "WS")
 UA_WSO = Address("UserAgentWSO", "WSO")
@@ -160,6 +173,55 @@ def test_ws_ws_witness_replays_on_the_failing_side(request_lb_mutant_program):
         "ws-ws-consume-2(UserAgentWS,BookStoreWS,requestLB)",
     )
     assert admits_sequence(pc_m, verdict.witness)
+
+
+# mutant -> sha256 prefix of its witness labels, one per line
+MUTANT_WITNESS_SHA256 = {
+    'BookStoreWS.requestLB: wso-ref <- requestLB()': 'a02b02d1c9635a13',
+    'BookStoreWS.sendSB: wso-ref <- sendSB(selectedBooks)': '13bb7c4d5e71dff1',
+    'BookStoreWSO.requestLB: sendLBAA <- sendLBFromStore(books)': 'f6f593dff4216da2',
+    'BookStoreWSO.sendLB: ws-ref <- receiveLB(books)': '192771eabaa02831',
+    'BookStoreWSO.sendPB: ws-ref <- receivePB(prices)': 'e896bba6b164f2b0',
+    'BookStoreWSO.sendSB: sendPBAA <- sendPBFromStore()': 'e75f7c9d8fa41083',
+    'PayBAA.payBFromCustomer: wso-ref <- payB()': 'b33ab20234488d40',
+    'SendLBAA.sendLBFromStore: wso-ref <- sendLB(books)': 'f6f593dff4216da2',
+    'SendPBAA.sendPBFromStore: wso-ref <- sendPB(price)': 'e75f7c9d8fa41083',
+    'SendSBAA.receiveSBFromCustomer: wso-ref <- sendSB(selectedBooks)': '3594410bcdaf3e0d',
+    'UserAgentWS.receiveLB: wso-ref <- receiveLB(books)': '8001176ee186e490',
+    'UserAgentWS.receivePB: wso-ref <- receivePB(prices)': '4bc99f315b23a2ba',
+    'UserAgentWSO.payB: ws-ref <- payB()': 'f7067ee3cd74a09d',
+    'UserAgentWSO.receiveLB: sendSBAA <- receiveSBFromCustomer(books)': '3594410bcdaf3e0d',
+    'UserAgentWSO.receivePB: payBAA <- payBFromCustomer()': 'b33ab20234488d40',
+    'UserAgentWSO.requestLB: ws-ref <- requestLB()': 'e3b70603114aa940',
+    'UserAgentWSO.sendSB: ws-ref <- sendSB(selectedBooks)': '9ad9ceda73a0821e',
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_mutant_texts(corpus_text):
+    return corpus_mutants(corpus_text)
+
+
+@pytest.mark.parametrize(
+    "mutant", sorted(BENCHMARK_MUTANTS), ids=lambda key: key.partition(":")[0]
+)
+def test_every_benchmark_mutant_witness_replays_on_its_failing_side(
+    mutant, benchmark_mutant_texts
+):
+    """Each witness ends with the first missing label, and its emits and
+    consumes, built where their messages cross, replay on the side that
+    lacks that label."""
+    pair, kind, missing, _states = BENCHMARK_MUTANTS[mutant]
+    program = Program.parse(benchmark_mutant_texts[mutant])
+    sides = check_pair(program, *pair)
+    verdict = composable(*sides)
+    assert verdict.kind == kind == "Incompatible"
+    assert verdict.missing == missing
+    side, _colon, label = verdict.missing[0].partition(":")
+    assert verdict.witness[-1].key() == tuple(label.rstrip(")").split("("))
+    assert admits_sequence(sides[side == "right"], verdict.witness)
+    text = "\n".join(verdict.witness.labels())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == MUTANT_WITNESS_SHA256[mutant]
 
 
 def _consumes(pc, config, env_left):
