@@ -167,10 +167,11 @@ def enabled_rules(
 
     `cache` is a search's own dict, the one apply_cached fills.  Under the
     actor and signal sections of the state key it keeps what those
-    sections enable and each pending message's instances by the
+    sections enable, sorted, and each pending message's instances by the
     message's text, so a state computes only what no earlier state of
-    the search has answered.  Without it, as in a run, nothing is kept
-    and no key is built."""
+    the search has answered, and one whose messages enable nothing gets
+    the kept tuple itself.  Without it, as in a run, nothing is kept and
+    no key is built."""
     top = config.top
     if cache is None:
         insts = _section_rules(program, top)
@@ -181,14 +182,18 @@ def enabled_rules(
         section = (key[1], key[2])  # a pair of tuples: never an _effect_key
         entry = cache.get(section)
         if entry is None:
-            entry = cache[section] = (tuple(_section_rules(program, top)), {})
+            found = tuple(sorted(_section_rules(program, top), key=_ORDER))
+            entry = cache[section] = (found, {})
         found, fates = entry
-        insts = list(found)
+        messages = []
         for text, am in dict(zip(key[3], top.apps)).items():
             fate = fates.get(text)
             if fate is None:
                 fate = fates[text] = _message_rules(program, top, am)
-            insts += fate
+            messages += fate
+        if not messages and not feeds:
+            return found  # sorted when it was stored
+        insts = list(found) + messages
 
     for f in feeds:
         if rules.feed_rule(top, f) == "In":
@@ -209,14 +214,17 @@ def allocator_for(config: Configuration) -> AddressAllocator:
     return AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
 
 
+# the rules that draw fresh addresses from an allocator
+_MINTS = frozenset({"CreateAA", "CreateWSO", "CreateWSs"})
+
 # How apply_instance calls each rule with (program, config, subject,
 # alloc).  Each call looks the rule up in the module, so a wrapper
 # installed on a rule is the one called.
 _CALLS = {
     "Request": lambda p, c, s, a: rules.step_request(p, c, s),
     "Compute": lambda p, c, s, a: rules.step_compute(p, c, s),
-    "SendIn": lambda p, c, s, a: rules.aa_send_in(p, c, s),
-    "SendOut": lambda p, c, s, a: rules.aa_send_out(p, c, s),
+    "SendIn": lambda p, c, s, a: rules.aa_send_in(c, s),
+    "SendOut": lambda p, c, s, a: rules.aa_send_out(c, s),
     "ReadyDeliver": lambda p, c, s, a: rules.deliver_ready(p, c, s),
     "SetPartner": lambda p, c, s, a: rules.deliver_ready(p, c, s),
     "Out": lambda p, c, s, a: rules.eject(p, c, s),
@@ -231,10 +239,11 @@ def apply_instance(
     program: Program,
     config: Configuration,
     inst: RuleInstance,
-    alloc: AddressAllocator,
+    alloc: Optional[AddressAllocator],
 ) -> Tuple[Configuration, Tuple[str, ...], Tuple]:
     """Apply one enabled instance to its subject; returns (config,
     produced, artifacts), both read from the step the rule recorded.
+    Only the create rules (`_MINTS`) draw on `alloc`.
 
     `produced` is each born actor as `actor <id>`, then the text of each
     new message; `artifacts` are the new application messages.  An
@@ -289,7 +298,8 @@ def apply_cached(
     key = _effect_key(config.top, inst)
     step = effects.get(key)  # None, the create rules' key, is never stored
     if step is None:
-        nxt = apply_instance(program, config, inst, allocator_for(config))[0]
+        alloc = allocator_for(config) if inst.rule_id in _MINTS else None
+        nxt = apply_instance(program, config, inst, alloc)[0]
         if key is not None:
             effects[key] = nxt.top._step
         return nxt

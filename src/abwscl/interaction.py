@@ -576,27 +576,126 @@ def admits_sequence(
     return done
 
 
+class _MoveTable:
+    """One side's move table for one check.
+
+    Each side state gets a small integer id, by its `_state_key`, and a
+    row: its configuration and unconsumed feeds, its own moves as
+    `_edges` computes them without peer calls, and the peer calls that
+    arrive at it, by call text.  A move is (step, the call it sends
+    toward the gate as (text, value) or None, next id).  The solo search
+    fills rows as it expands them; the product and the witness read
+    them and compute only the states the solo search never reached.
+    This is exact because the key is the whole state (see README, "How
+    the composability check works")."""
+
+    __slots__ = ("pc", "effects", "ids", "rows", "calls")
+
+    def __init__(self, pc: PartialConfiguration, effects: dict):
+        self.pc = pc
+        self.effects = effects  # the side's rule effects, shared by its phases
+        self.ids: dict = {}
+        self.rows: List[_Row] = []
+        self.calls: dict = {}  # call text -> the message a peer call arrives as
+
+    def id(self, config: Configuration, env_left) -> int:
+        key = _state_key(config, env_left)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.rows)
+            self.rows.append(_Row(config, env_left))
+        return i
+
+    def moves(self, i: int):
+        """The row's own moves, and whether they are one ample move alone."""
+        row = self.rows[i]
+        if row.moves is None:
+            edges, row.ample = _edges(self.pc, row.config, row.env_left, self.effects,
+                                      free_peer=False)
+            row.moves = []
+            for step, am, nxt, env2 in edges:
+                # a call toward the gate lands, with its text, in the other side's in-bag
+                toward_gate = am is not None and am.dest == self.pc.gate
+                sent = (canon_value(am.value), am.value) if toward_gate else None
+                row.moves.append((step, sent, self.id(nxt, env2)))
+        return row.moves, row.ample
+
+    def arrival(self, i: int, text: str, value: Value):
+        """A peer call of this text arriving at the row: (step, next id),
+        or None while `_inject` refuses it."""
+        row = self.rows[i]
+        if row.arrivals is None:
+            row.arrivals = {}
+        elif text in row.arrivals:
+            return row.arrivals[text]
+        feed = self.calls.get(text)
+        if feed is None:
+            feed = self.calls[text] = AppMessage(dest=self.pc.anchor, value=value)
+        arrival = _inject(self.pc, row.config, feed)
+        if arrival is not None:
+            step, nxt = arrival
+            arrival = step, self.id(nxt, row.env_left)
+        row.arrivals[text] = arrival
+        return arrival
+
+
+class _Row:
+    """One side state in a move table; `moves` and `arrivals` fill as
+    they are first asked for."""
+
+    __slots__ = ("config", "env_left", "moves", "ample", "arrivals")
+
+    def __init__(self, config: Configuration, env_left: FrozenSet[int]):
+        self.config = config
+        self.env_left = env_left
+        self.moves = None
+        self.ample = False
+        self.arrivals = None
+
+
 def _solo_labels(
-    pc: PartialConfiguration, depth: int, effects: dict, *, max_states: int = _MAX_STATES
+    pc: PartialConfiguration, depth: int, table, *, max_states: int = _MAX_STATES
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
     """Visible step keys reachable alone within depth, and states seen.
-    The search runs on the one-copy quotient (see `_one_copy`)."""
+    The search runs on the one-copy quotient (see `_one_copy`).
+
+    `table` is the side's move table for this check, which the search
+    fills; a plain dict is taken as the rule effects of a new table."""
+    if not isinstance(table, _MoveTable):
+        table = _MoveTable(pc, table)
+    rows = table.rows
+    feeds = [(canon_value(f.value), f.value) for f in pc.peer_feeds]
     labels: Set[Tuple[str, str]] = set()
 
-    def successors(node, count):
-        config, env_left = node
-        moves, _det = _edges(pc, config, env_left, effects)
-        for step, _am, nxt, env2 in moves:
-            nxt = _one_copy(nxt)
+    def quotient(i: int, j: int) -> int:
+        # a step that left the pending messages alone cannot add a copy
+        nxt = rows[j].config
+        if nxt.top.apps is rows[i].config.top.apps:
+            return j
+        one = _one_copy(nxt)
+        return j if one is nxt else table.id(one, rows[j].env_left)
+
+    def successors(i, count):
+        moves, ample = table.moves(i)
+        for step, _sent, j in moves:
             if not step.visible:
-                yield (nxt, env2), count
+                yield quotient(i, j), count
             elif count < depth:
                 labels.add(step.key())
-                yield (nxt, env2), count + 1
+                yield quotient(i, j), count + 1
+        if ample or count >= depth:
+            return
+        for text, value in feeds:
+            arrival = table.arrival(i, text, value)
+            if arrival is not None:
+                step, j = arrival
+                labels.add(step.key())
+                yield quotient(i, j), count + 1
 
+    config, env_left = _start(pc)
     visits = search(
-        _start(pc),
-        lambda n: _state_key(*n),
+        table.id(_one_copy(config), env_left),
+        int,  # a row id is its state's key
         successors,
         phase=f"solo {pc.behavior}", depth=depth, budget=max_states,
     )
@@ -623,93 +722,77 @@ def default_depth(pc_a: PartialConfiguration, pc_m: PartialConfiguration) -> int
     return 2 * (len(d_a.methods) + len(d_m.methods))
 
 
-def _bag_key(bag: Tuple[Record, ...]) -> Tuple[str, ...]:
-    return tuple(sorted(canon_value(c) for c in bag))
+def _bag_key(bag: Tuple[Tuple[str, Value], ...]) -> Tuple[str, ...]:
+    return tuple(sorted([text for text, _value in bag]))
 
 
-def _consume_edges(pc: PartialConfiguration, config, bag: Tuple[Record, ...]):
-    """Deliverable calls waiting in the other side's out-bag."""
+def _consume_edges(table: _MoveTable, i: int, bag: Tuple[Tuple[str, Value], ...]):
+    """Deliverable calls waiting in the other side's out-bag: (step, the
+    bag less the call, next id)."""
     out = []
     taken = set()
-    for i, call in enumerate(bag):
-        ck = canon_value(call)
-        if ck in taken:
+    for k, (text, value) in enumerate(bag):
+        if text in taken:
             continue
-        taken.add(ck)
-        arrival = _inject(pc, config, AppMessage(dest=pc.anchor, src=pc.gate, value=call))
+        taken.add(text)
+        arrival = table.arrival(i, text, value)
         if arrival is not None:
-            step, nxt = arrival
-            out.append((step, bag[:i] + bag[i + 1 :], nxt))
+            step, j = arrival
+            out.append((step, bag[:k] + bag[k + 1 :], j))
     return out
 
 
-def _side_edges(pc: PartialConfiguration, memo, effects, config, env_left):
-    """One side's product moves, computed once per state key; exact
-    because the key is the whole state."""
-    key = _state_key(config, env_left)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _edges(pc, config, env_left, effects, free_peer=False)
-    return hit
-
-
-def _sent(pc: PartialConfiguration, am: Optional[AppMessage], bag: Tuple[Record, ...]):
-    """The side's out-bag after a move: a call sent toward the gate lands
-    in the other side's in-bag."""
-    return bag + (am.value,) if am is not None and am.dest == pc.gate else bag
-
-
-def _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m):
+def _product_edges(table_a: _MoveTable, table_m: _MoveTable, state):
     """Moves of the two-sided product; consumes draw from the bags.
 
-    A commuting silent move on either side preempts the fan-out exactly
-    as it does solo: it touches nothing the other side can read.  Each
-    side's moves come from its memo and its rule effects, one of each per
-    `compatible` call."""
-    cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma = state
-    edges_a, det_a = _side_edges(pc_a, memo_a, effects_a, cfg_a, env_a)
+    A product state is (id A, id M, bag A->M, bag M->A); a call sent
+    toward the gate lands, with its text, in the other side's in-bag.  A
+    commuting silent move on either side preempts the fan-out exactly as
+    it does solo: it touches nothing the other side can read."""
+    a, m, bag_am, bag_ma = state
+    edges_a, ample_a = table_a.moves(a)
     moves = [
-        ("A", step, (nxt, cfg_m, env2, env_m, _sent(pc_a, am, bag_am), bag_ma))
-        for step, am, nxt, env2 in edges_a
+        ("A", step, (j, m, bag_am + (sent,) if sent else bag_am, bag_ma))
+        for step, sent, j in edges_a
     ]
-    if det_a:
+    if ample_a:
         return moves
-    edges_m, det_m = _side_edges(pc_m, memo_m, effects_m, cfg_m, env_m)
+    edges_m, ample_m = table_m.moves(m)
     own_m = [
-        ("M", step, (cfg_a, nxt, env_a, env2, bag_am, _sent(pc_m, am, bag_ma)))
-        for step, am, nxt, env2 in edges_m
+        ("M", step, (a, j, bag_am, bag_ma + (sent,) if sent else bag_ma))
+        for step, sent, j in edges_m
     ]
-    if det_m:
+    if ample_m:
         return own_m
     moves += own_m
-    for step, bag2, nxt in _consume_edges(pc_a, cfg_a, bag_ma):
-        moves.append(("A", step, (nxt, cfg_m, env_a, env_m, bag_am, bag2)))
-    for step, bag2, nxt in _consume_edges(pc_m, cfg_m, bag_am):
-        moves.append(("M", step, (cfg_a, nxt, env_a, env_m, bag2, bag_ma)))
+    if bag_ma:
+        for step, bag2, j in _consume_edges(table_a, a, bag_ma):
+            moves.append(("A", step, (j, m, bag_am, bag2)))
+    if bag_am:
+        for step, bag2, j in _consume_edges(table_m, m, bag_am):
+            moves.append(("M", step, (a, j, bag2, bag_ma)))
     return moves
 
 
 def _product_key(state) -> Tuple:
-    cfg_a, cfg_m, env_a, env_m, bag_am, bag_ma = state
-    return (cfg_a.top.key(), cfg_m.top.key(), env_a, env_m, _bag_key(bag_am), _bag_key(bag_ma))
+    a, m, bag_am, bag_ma = state
+    # most bags are empty, and an empty bag is its own key
+    return (a, m, bag_am and _bag_key(bag_am), bag_ma and _bag_key(bag_ma))
 
 
-def _product_start(pc_a, pc_m):
-    config_a, env_a = _start(pc_a)
-    config_m, env_m = _start(pc_m)
-    return (config_a, config_m, env_a, env_m, (), ())
+def _product_start(table_a: _MoveTable, table_m: _MoveTable):
+    return (table_a.id(*_start(table_a.pc)), table_m.id(*_start(table_m.pc)), (), ())
 
 
-def _greedy_witness(pc_a, pc_m, depth, side, missing_step, memo_a, memo_m, effects_a,
-                    effects_m, *, max_states):
+def _greedy_witness(table_a, table_m, depth, side, missing_step, *, max_states):
     """A deterministic product run projected on the failing side, with
-    the unmatched step appended; the product's caches supply the moves."""
-    state = _product_start(pc_a, pc_m)
+    the unmatched step appended; the move tables supply the moves."""
+    state = _product_start(table_a, table_m)
     history: List[Tuple[str, InteractionStep]] = []
     for _ in range(max_states):
         if sum(1 for _s, st in history if st.visible) >= depth:
             break
-        moves = _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m)
+        moves = _product_edges(table_a, table_m, state)
         if not moves:
             break
         moves.sort(key=lambda m: (m[1].visible, m[0], m[1].label()))
@@ -754,20 +837,16 @@ def compatible(
         )
     if depth is None:
         depth = default_depth(pc_a, pc_m)
-    # each side's rule effects serve all its phases in this check
-    effects_a: dict = {}
-    effects_m: dict = {}
-    req_a, n_a = _solo_labels(pc_a, depth, effects_a, max_states=max_states)
-    req_m, n_m = _solo_labels(pc_m, depth, effects_m, max_states=max_states)
+    # each side's move table and rule effects serve all its phases in this check
+    table_a = _MoveTable(pc_a, {})
+    table_m = _MoveTable(pc_m, {})
+    req_a, n_a = _solo_labels(pc_a, depth, table_a, max_states=max_states)
+    req_m, n_m = _solo_labels(pc_m, depth, table_m, max_states=max_states)
     got_a: Set[Tuple[str, str]] = set()
     got_m: Set[Tuple[str, str]] = set()
-    # product moves only: keeping the solo phases' moves as well would
-    # multiply the peak memory of the largest checks
-    memo_a: dict = {}
-    memo_m: dict = {}
 
     def successors(state, count):
-        moves = _product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m)
+        moves = _product_edges(table_a, table_m, state)
         for tag, step, nxt in moves:
             if not step.visible:
                 yield nxt, count
@@ -780,7 +859,7 @@ def compatible(
 
     # depth-first so a full conversation is walked before its variants
     explored = search(
-        _product_start(pc_a, pc_m), _product_key, successors,
+        _product_start(table_a, table_m), _product_key, successors,
         phase="product", depth=depth, budget=max_states, lifo=True, stop=covered,
     )
     explored += n_a + n_m
@@ -793,10 +872,7 @@ def compatible(
     )
     side, shape, text = missing[0]
     step = _missing_to_step(pc_a if side == "A" else pc_m, shape, text)
-    witness = _greedy_witness(
-        pc_a, pc_m, depth, side, step, memo_a, memo_m, effects_a, effects_m,
-        max_states=max_states,
-    )
+    witness = _greedy_witness(table_a, table_m, depth, side, step, max_states=max_states)
     labels = tuple(f"{'left' if s == 'A' else 'right'}:{sh}({tx})" for s, sh, tx in missing)
     return Verdict(
         kind="Incompatible", depth=depth, explored=explored, witness=witness, missing=labels

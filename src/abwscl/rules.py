@@ -64,6 +64,7 @@ from .errors import (
 from .program import (
     Program,
     absorb,
+    actor_env,
     eval_in_state,
     guard_accepts,
     instantiate,
@@ -260,8 +261,9 @@ def step_request(program: Program, config: Configuration, site: Address) -> Conf
             method, arg_exprs = "setPartner", (head.arg,)
         else:
             method, arg_exprs = head.method, head.args
-        target = eval_in_state(program, actor, ast.Name(ident=head.target))
-        args = tuple(eval_in_state(program, actor, e) for e in arg_exprs)
+        env = actor_env(program, actor)
+        target = ast.eval_expr(ast.Name(ident=head.target), env)
+        args = tuple([ast.eval_expr(e, env) for e in arg_exprs])
         signal = EventMessage(
             dest=actor.tau,
             src=site,
@@ -308,7 +310,7 @@ def _route(config: Configuration, em: EventMessage) -> Configuration:
     return Configuration(config.top.derive(gone=(em,), new=(app, complete)))
 
 
-def aa_send_in(program: Program, config: Configuration, em: EventMessage) -> Configuration:
+def aa_send_in(config: Configuration, em: EventMessage) -> Configuration:
     """Route a transmit between sibling AAs: same owner, same interface.
 
     The handler (the owning WSO) turns the signal into an AppMessage for
@@ -320,7 +322,7 @@ def aa_send_in(program: Program, config: Configuration, em: EventMessage) -> Con
     return _route(config, em)
 
 
-def aa_send_out(program: Program, config: Configuration, em: EventMessage) -> Configuration:
+def aa_send_out(config: Configuration, em: EventMessage) -> Configuration:
     """Route any non-sibling transmit: the handler emits the AppMessage
     toward its destination (local or boundary alike) and completes the
     sender.  Whether the message later leaves the fragment is [out]'s
@@ -369,9 +371,10 @@ def deliver_ready(program: Program, config: Configuration, am: AppMessage) -> Co
 
 def boundary_in(config: Configuration, am: AppMessage) -> Configuration:
     """Accept a message from outside.  Only receptionists are reachable;
-    the external sender's identity is not retained."""
+    the external sender's identity is not retained, so a message that
+    names none enters as it is."""
     _require(feed_rule(config.top, am), "In", am, NotAReceptionist)
-    accepted = AppMessage(dest=am.dest, value=am.value, src=None)
+    accepted = am if am.src is None else AppMessage(dest=am.dest, value=am.value, src=None)
     return Configuration(config.top.derive(new=(accepted,)))
 
 

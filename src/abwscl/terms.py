@@ -336,11 +336,14 @@ class AppMessage:
 
 
 def _without(seq: tuple, item) -> tuple:
-    """`seq` less its first copy of `item`; NoPendingMessage if it has none."""
+    """`seq` of messages less its first copy of `item`; NoPendingMessage
+    if it has none.  Equal messages have equal texts, so a text that
+    differs settles the comparison."""
+    text = item._canon
     for i, x in enumerate(seq):
-        if x is item or x == item:
+        if x is item or (x._canon == text and x == item):
             return seq[:i] + seq[i + 1:]
-    raise NoPendingMessage(f"not in fragment: {item.canon()}")
+    raise NoPendingMessage(f"not in fragment: {text}")
 
 
 # sort keys for Fragment.make, read per member without a Python call
@@ -391,7 +394,11 @@ class Fragment:
         if actor is not None:
             addr = actor.addr
             # equal addresses share their id; comparing it first is cheap
-            i = next(i for i, a in enumerate(actors) if a.addr.id == addr.id and a.addr == addr)
+            for i, a in enumerate(actors):
+                if a.addr is addr or (a.addr.id == addr.id and a.addr == addr):
+                    break
+            else:
+                raise ValueError(f"no actor at {addr.id} to replace")
             actors = actors[:i] + (actor,) + actors[i + 1:]
         if born:
             actors = tuple(sorted(actors + born, key=_ADDR_ID))
@@ -400,15 +407,20 @@ class Fragment:
                 events = _without(events, m)
             else:
                 apps = _without(apps, m)
-        new_events = tuple([m for m in new if type(m) is EventMessage])
-        new_apps = tuple([m for m in new if type(m) is not EventMessage])
-        if new_events:
-            events = tuple(sorted(events + new_events, key=_CANON))
-        if new_apps:
-            apps = tuple(sorted(apps + new_apps, key=_CANON))
+        if new:
+            new_events = [m for m in new if type(m) is EventMessage]
+            if new_events:
+                events = tuple(sorted(events + tuple(new_events), key=_CANON))
+            if len(new_events) < len(new):
+                new_apps = tuple([m for m in new if type(m) is not EventMessage])
+                apps = tuple(sorted(apps + new_apps, key=_CANON))
         if restriction != "keep":
             rest = None if restriction is None else frozenset(restriction)
-        f = Fragment(actors, events, apps, rest)
+        # the fields and memos at once: a step builds this many fragments
+        # that the dataclass's own field-by-field __init__ shows in profiles
+        f = object.__new__(Fragment)
+        memo = {"actors": actors, "events": events, "apps": apps, "restriction": rest,
+                "_step": (actor, born, gone, new, restriction)}
         if key is not None:
             rids, texts, event_texts, app_texts = key
             if born:
@@ -421,10 +433,10 @@ class Fragment:
                 app_texts = tuple(map(_CANON, apps))
             if restriction != "keep":
                 rids = None if rest is None else tuple(sorted([a.id for a in rest]))
-            object.__setattr__(f, "_key", (rids, texts, event_texts, app_texts))
+            memo["_key"] = (rids, texts, event_texts, app_texts)
         if not born:
-            object.__setattr__(f, "_members", members(self))
-        object.__setattr__(f, "_step", (actor, born, gone, new, restriction))
+            memo["_members"] = members(self)
+        f.__dict__.update(memo)
         return f
 
     def key(self) -> tuple:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-from xml.sax.saxutils import escape, quoteattr
 
 from . import syntax as ast
 from .errors import NotAWS, NotAWSC, NotAWSO, RoleCountMismatch, UnorderableBody
@@ -58,18 +57,36 @@ class XmlSkeleton:
         return self.to_text().encode("utf-8")
 
 
+# Local copies of xml.sax.saxutils.escape and quoteattr: importing that
+# module loads urllib.request, http.client, email and ssl.
+def _escape(text: str) -> str:
+    """Character data with &, > and < escaped."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """An attribute value, escaped and quoted: double quotes unless the
+    value holds one and no single quote."""
+    data = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"' + data.replace('"', "&quot;") + '"'
+
+
 def _emit(e: XmlElement, depth: int, out: List[str]) -> None:
     pad = "  " * depth
-    attrs = "".join(f" {k}={quoteattr(v)}" for k, v in sorted(e.attrs))
+    attrs = "".join(f" {k}={_quoteattr(v)}" for k, v in sorted(e.attrs))
     if not e.children and e.text is None:
         out.append(f"{pad}<{e.name}{attrs}/>")
         return
     if not e.children:
-        out.append(f"{pad}<{e.name}{attrs}>{escape(e.text)}</{e.name}>")
+        out.append(f"{pad}<{e.name}{attrs}>{_escape(e.text)}</{e.name}>")
         return
     out.append(f"{pad}<{e.name}{attrs}>")
     if e.text is not None:
-        out.append(f"{pad}  {escape(e.text)}")
+        out.append(f"{pad}  {_escape(e.text)}")
     for c in e.children:
         _emit(c, depth + 1, out)
     out.append(f"{pad}</{e.name}>")

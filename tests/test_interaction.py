@@ -22,7 +22,7 @@ from abwscl.interaction import (
     ws_side,
     wso_side,
 )
-from abwscl.terms import Address, Event, call_record, members
+from abwscl.terms import Address, AppMessage, Event, call_record, canon_value, members
 
 from test_acceptance import CORPUS_PAIRS, PAIR_SOURCE
 
@@ -30,7 +30,7 @@ from test_acceptance import CORPUS_PAIRS, PAIR_SOURCE
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
-    from expected import MUTANTS as BENCHMARK_MUTANTS
+    from expected import CORPUS_STATES, MUTANTS as BENCHMARK_MUTANTS
     from workloads import corpus_mutants
 finally:
     sys.path.remove(PERFBENCH)
@@ -224,6 +224,44 @@ def test_every_benchmark_mutant_witness_replays_on_its_failing_side(
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == MUTANT_WITNESS_SHA256[mutant]
 
 
+# mutant -> Verdict.explored of its check; perfbench/expected.py holds
+# counts from before the one-copy solo quotient
+MUTANT_EXPLORED = {
+    'BookStoreWS.requestLB: wso-ref <- requestLB()': 1_749,
+    'BookStoreWS.sendSB: wso-ref <- sendSB(selectedBooks)': 1_749,
+    'BookStoreWSO.requestLB: sendLBAA <- sendLBFromStore(books)': 3_089,
+    'BookStoreWSO.sendLB: ws-ref <- receiveLB(books)': 5_076,
+    'BookStoreWSO.sendPB: ws-ref <- receivePB(prices)': 5_076,
+    'BookStoreWSO.sendSB: sendPBAA <- sendPBFromStore()': 3_205,
+    'PayBAA.payBFromCustomer: wso-ref <- payB()': 1_864,
+    'SendLBAA.sendLBFromStore: wso-ref <- sendLB(books)': 3_385,
+    'SendPBAA.sendPBFromStore: wso-ref <- sendPB(price)': 3_385,
+    'SendSBAA.receiveSBFromCustomer: wso-ref <- sendSB(selectedBooks)': 1_852,
+    'UserAgentWS.receiveLB: wso-ref <- receiveLB(books)': 800,
+    'UserAgentWS.receivePB: wso-ref <- receivePB(prices)': 824,
+    'UserAgentWSO.payB: ws-ref <- payB()': 4_244,
+    'UserAgentWSO.receiveLB: sendSBAA <- receiveSBFromCustomer(books)': 1_672,
+    'UserAgentWSO.receivePB: payBAA <- payBFromCustomer()': 1_720,
+    'UserAgentWSO.requestLB: ws-ref <- requestLB()': 4_244,
+    'UserAgentWSO.sendSB: ws-ref <- sendSB(selectedBooks)': 4_244,
+}
+
+
+@pytest.mark.parametrize(
+    "case", [*CORPUS_STATES, *sorted(BENCHMARK_MUTANTS)],
+    ids=lambda case: " ".join(case) if isinstance(case, tuple) else case.partition(":")[0],
+)
+def test_benchmark_checks_explore_pinned_state_counts(case, program, benchmark_mutant_texts):
+    """A change that only speeds a check up leaves its work alone: every
+    check-corpus and check-mutants case explores the states pinned here."""
+    if case in CORPUS_STATES:
+        checked, pair, want = program, case, CORPUS_PAIRS[case]
+    else:
+        checked = Program.parse(benchmark_mutant_texts[case])
+        pair, want = BENCHMARK_MUTANTS[case][0], MUTANT_EXPLORED[case]
+    assert composable(*check_pair(checked, *pair)).explored == want
+
+
 def _consumes(pc, config, env_left):
     moves, _det = interaction._edges(pc, config, env_left, {}, reduced=False)
     return [(step, nxt) for step, _am, nxt, _env in moves if step.shape == "consume-2"]
@@ -240,49 +278,103 @@ def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
         [(step, after)] = consumes
         assert _consumes(pc, after, env_left) == []
 
-        bag = (step.payload, step.payload)
-        offered = interaction._consume_edges(pc, config, bag)
-        assert [s.key() for s, _bag, _nxt in offered] == [("consume-2", method)]
-        assert interaction._consume_edges(pc, offered[0][2], bag) == []
+        table = interaction._MoveTable(pc, {})
+        call = (canon_value(step.payload), step.payload)
+        bag = (call, call)
+        offered = interaction._consume_edges(table, table.id(config, env_left), bag)
+        assert [(s.key(), rest) for s, rest, _j in offered] == [(("consume-2", method), (call,))]
+        arrived = offered[0][2]
+        assert table.rows[arrived].config.canon() == after.canon()
+        assert interaction._consume_edges(table, arrived, bag) == []
 
 
-def _moves_text(edges):
-    moves, det = edges
-    return det, [
-        (step.label(), am.canon() if am is not None else None, nxt.canon(), env2)
+def _table_moves(table, i):
+    """A row's moves as the move table holds them, in printable terms."""
+    row = table.rows[i]
+    return row.ample, [
+        (step.label(), sent, table.rows[j].config.canon(), table.rows[j].env_left)
+        for step, sent, j in row.moves
+    ]
+
+
+def _fresh_moves(edges, table, i):
+    """The same row's moves computed anew, with empty caches."""
+    pc, row = table.pc, table.rows[i]
+    moves, ample = edges(pc, row.config, row.env_left, {}, free_peer=False)
+    return ample, [
+        (step.label(),
+         (canon_value(am.value), am.value) if am is not None and am.dest == pc.gate else None,
+         nxt.canon(), env2)
         for step, am, nxt, env2 in moves
     ]
 
 
-def test_product_memo_matches_fresh_moves(monkeypatch, mutant_program, mini_program):
-    """A side's memoised moves are the ones its state would compute anew,
-    at every state the product and witness expand."""
-    expanded = []
-    product_edges = interaction._product_edges
+def _fresh_arrival(table, i, text):
+    """A peer call arriving at the row, computed anew."""
+    pc, row = table.pc, table.rows[i]
+    call = AppMessage(dest=pc.anchor, src=pc.gate, value=table.calls[text].value)
+    fresh = interaction._inject(pc, row.config, call)
+    return None if fresh is None else (fresh[0].label(), fresh[1].canon())
 
-    def recording(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m):
-        expanded.append((state, memo_a, memo_m))
-        return product_edges(pc_a, pc_m, state, memo_a, memo_m, effects_a, effects_m)
 
+@pytest.mark.parametrize("case", ["dropped sendPB", "mini", "ws-ws requestLB"])
+def test_move_table_matches_fresh_moves(
+    case, monkeypatch, mutant_program, mini_program, request_lb_mutant_program
+):
+    """Every move-table entry the product and the witness read, those the
+    solo search filled included, is what its state computes anew; and no
+    side state's moves are computed twice in one check."""
+    program, pair = {
+        "dropped sendPB": (mutant_program, ("BookStoreWSO", "BookStoreWS", "wso-ws")),
+        "mini": (mini_program, ("MiniWSO", "MiniWS", "wso-ws")),
+        "ws-ws requestLB": (request_lb_mutant_program, ("UserAgentWS", "BookStoreWS", "ws-ws")),
+    }[case]
+    edges, solo_labels, product_edges = (
+        interaction._edges, interaction._solo_labels, interaction._product_edges)
+    computed = []  # (side, state key) per computation of a side's own moves
+    after_solo = {}  # table -> rows whose moves the solo search computed
+    expanded = []  # (table A, table M, product state) per product expansion
+
+    def counting(pc, config, env_left, effects, **kw):
+        computed.append((pc.behavior, interaction._state_key(config, env_left)))
+        return edges(pc, config, env_left, effects, **kw)
+
+    def solo(pc, depth, table, **kw):
+        got = solo_labels(pc, depth, table, **kw)
+        after_solo[table] = {i for i, row in enumerate(table.rows) if row.moves is not None}
+        return got
+
+    def recording(table_a, table_m, state):
+        expanded.append((table_a, table_m, state))
+        return product_edges(table_a, table_m, state)
+
+    monkeypatch.setattr(interaction, "_edges", counting)
+    monkeypatch.setattr(interaction, "_solo_labels", solo)
     monkeypatch.setattr(interaction, "_product_edges", recording)
-    for program, pair in [
-        (mutant_program, ("BookStoreWSO", "BookStoreWS")),
-        (mini_program, ("MiniWSO", "MiniWS")),
-    ]:
-        expanded.clear()
-        pc_a, pc_m = check_pair(program, *pair, "wso-ws")
-        compatible(pc_a, pc_m)
-        assert expanded
-        for state, memo_a, memo_m in expanded:
-            cfg_a, cfg_m, env_a, env_m, _bag_am, _bag_ma = state
-            cached_a = memo_a[interaction._state_key(cfg_a, env_a)]
-            sides = [(pc_a, cached_a, cfg_a, env_a)]
-            if not cached_a[1]:  # a deterministic left move leaves the right unread
-                cached_m = memo_m[interaction._state_key(cfg_m, env_m)]
-                sides.append((pc_m, cached_m, cfg_m, env_m))
-            for pc, cached, cfg, env in sides:
-                fresh = interaction._edges(pc, cfg, env, {}, free_peer=False)
-                assert _moves_text(cached) == _moves_text(fresh)
+    verdict = compatible(*check_pair(program, *pair))
+    monkeypatch.undo()
+    assert verdict.kind == ("Composable" if case == "mini" else "Incompatible")
+    assert len(computed) == len(set(computed))
+
+    read = set()  # (table, row) whose moves the product or the witness read
+    arrivals = set()  # (table, row, call text) it drew from a bag
+    for table_a, table_m, (a, m, bag_am, bag_ma) in expanded:
+        read.add((table_a, a))
+        if not table_a.rows[a].ample:
+            read.add((table_m, m))
+            if not table_m.rows[m].ample:
+                arrivals |= {(table_a, a, text) for text, _v in bag_ma}
+                arrivals |= {(table_m, m, text) for text, _v in bag_am}
+    assert any(i in after_solo[table] for table, i in read)
+    for table, i in read:
+        assert _table_moves(table, i) == _fresh_moves(edges, table, i)
+    assert arrivals
+    for table, i, text in arrivals:
+        held = table.rows[i].arrivals[text]
+        if held is not None:
+            step, j = held
+            held = (step.label(), table.rows[j].config.canon())
+        assert held == _fresh_arrival(table, i, text)
 
 
 # The orchestration sends its interface service the address of its

@@ -159,7 +159,7 @@ def test_sibling_sends_stay_inside_one_service(program):
     config = Configuration(
         Fragment.make(actors=(a1, a2, stranger), events=(em,))
     )
-    after = rules.aa_send_in(program, config, em)
+    after = rules.aa_send_in(config, em)
     assert any(am.dest == a2.addr for am in after.top.apps)
     assert any(e.event is Event.COMPLETE and e.dest == a1.addr for e in after.top.events)
     assert len(after.top._step[3]) == 2
@@ -168,9 +168,9 @@ def test_sibling_sends_stay_inside_one_service(program):
         Fragment.make(actors=(a1, a2, stranger), events=(cross,))
     )
     with pytest.raises(NotSameWSO):
-        rules.aa_send_in(program, crossed, cross)
+        rules.aa_send_in(crossed, cross)
     with pytest.raises(TargetIsLocal):
-        rules.aa_send_out(program, config, em)
+        rules.aa_send_out(config, em)
 
 
 GUARDED_SOURCE = """

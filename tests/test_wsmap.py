@@ -1,12 +1,17 @@
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given, strategies as st
 
 from abwscl import Program, export, export_bpel, export_cdl, export_wsdl
 from abwscl.errors import NotAWS, NotAWSC, NotAWSO, RoleCountMismatch
 from abwscl.interaction import check_pair
 from abwscl.terms import Address
-from abwscl.wsmap import XmlSkeleton, el, export_file_name
+from abwscl.wsmap import XmlSkeleton, _escape, _quoteattr, el, export_file_name
 from conftest import MINI_SOURCE
 
 
@@ -329,3 +334,22 @@ def test_exports_are_byte_identical(program):
         assert one == two
         assert one.decode("utf-8").splitlines()  # valid UTF-8, LF lines
         assert b"\r" not in one
+
+
+@given(st.text(alphabet=st.sampled_from("ab &<>\"'\n\r\t\u00e9")))
+def test_xml_escapes_match_the_standard_library(text):
+    assert _escape(text) == escape(text)
+    assert _quoteattr(text) == quoteattr(text)
+
+
+def test_importing_the_package_loads_no_network_modules():
+    """xml.sax.saxutils pulls in urllib.request and http.client; the
+    package escapes XML itself and stays off them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import abwscl; "
+            "print('http.client' in sys.modules)")
+    # -S: no site hooks, so only the package's own imports count
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
