@@ -5,9 +5,10 @@ choreography and rewrites it to quiescence, `check` decides whether two
 sides compose at a named boundary, `export` writes a skeleton service
 document.  Verdicts are printed twice: one JSON line for machines, then
 prose.  Exit codes: 0 success/composable, 1 unparseable or invalid input
-(a kind mismatch in `check` and an error raised while `run` evaluates
-the program included), 2 unknown name, 3 step limit
-reached, 4 incompatible, 5 member overlap, 6 export kind mismatch.
+(a kind mismatch in `check`, an error raised while `run` evaluates the
+program, and an `--out` path that cannot be written, such as one in a
+missing directory, included), 2 unknown name, 3 step limit reached,
+4 incompatible, 5 member overlap, 6 export kind mismatch.
 """
 from __future__ import annotations
 
@@ -64,6 +65,17 @@ def _load(corpus: Sequence[Path], err) -> Optional[Program]:
     return program
 
 
+def _write(path: Path, data: bytes, err) -> bool:
+    """Write an output file; report an error and return False when the
+    path cannot be written."""
+    try:
+        path.write_bytes(data)
+    except OSError as e:
+        print(f"error: {e}", file=err)
+        return False
+    return True
+
+
 def cmd_run(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
     program = _load(cfg.corpus, err)
     if program is None:
@@ -81,10 +93,10 @@ def cmd_run(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
         print(f"error: {e}", file=err)
         return INVALID
     text = trace.text()
-    if cfg.out is not None:
-        cfg.out.write_text(text, encoding="utf-8")
-    else:
+    if cfg.out is None:
         out.write(text)
+    elif not _write(cfg.out, text.encode("utf-8"), err):
+        return INVALID
     return OK if trace.quiescent else STEP_LIMIT
 
 
@@ -161,7 +173,8 @@ def cmd_export(
         print(f"error: {e}", file=err)
         return KIND_MISMATCH
     path = out_dir / wsmap.export_file_name(target, cfg.name)
-    path.write_bytes(skeleton.to_bytes())
+    if not _write(path, skeleton.to_bytes(), err):
+        return INVALID
     print(path, file=out)
     return OK
 

@@ -165,41 +165,63 @@ def enabled_rules(
     pending message share one instance: whichever copy a step consumes,
     it reaches the same configuration.
 
-    `cache` is a search's own dict, the one apply_cached fills.  Under the
-    actor and signal sections of the state key it keeps what those
-    sections enable, sorted, and each pending message's instances by the
-    message's text, so a state computes only what no earlier state of
-    the search has answered, and one whose messages enable nothing gets
-    the kept tuple itself.  Without it, as in a run, nothing is kept and
-    no key is built."""
+    `cache` is a search's own dict, the one apply_cached fills, holding
+    one `rule_entry` per actor and signal section of the state key, so a
+    state computes only what no earlier state of the search has
+    answered.  Without it, as in a run, nothing is kept and no key is
+    built."""
     top = config.top
     if cache is None:
         insts = _section_rules(program, top)
         for am in {am.canon(): am for am in top.apps}.values():
             insts += _message_rules(program, top, am)
     else:
-        key = top.key()
-        section = (key[1], key[2])  # a pair of tuples: never an _effect_key
-        entry = cache.get(section)
-        if entry is None:
-            found = tuple(sorted(_section_rules(program, top), key=_ORDER))
-            entry = cache[section] = (found, {})
-        found, fates = entry
-        messages = []
-        for text, am in dict(zip(key[3], top.apps)).items():
-            fate = fates.get(text)
-            if fate is None:
-                fate = fates[text] = _message_rules(program, top, am)
-            messages += fate
-        if not messages and not feeds:
-            return found  # sorted when it was stored
-        insts = list(found) + messages
+        entry = rule_entry(program, top, cache)
+        found = cached_rules(program, top, entry, top.key()[3], top.apps)
+        if not feeds:
+            return found
+        insts = list(found)
 
     for f in feeds:
         if rules.feed_rule(top, f) == "In":
             insts.append(RuleInstance("In", f.dest.id, f.canon(), f))
 
     return tuple(sorted(insts, key=_ORDER))
+
+
+def rule_entry(program: Program, top: Fragment, cache: dict):
+    """What the actors and signals of `top` enable, as kept in `cache`:
+    (their instances, sorted; pending message text -> its instances).
+    Every fragment with the same actors and signals shares the entry."""
+    key = top.key()
+    section = (key[1], key[2])  # a pair of tuples: never an _effect_key
+    entry = cache.get(section)
+    if entry is None:
+        found = tuple(sorted(_section_rules(program, top), key=_ORDER))
+        entry = cache[section] = (found, {})
+    return entry
+
+
+def cached_rules(program: Program, top: Fragment, entry, texts, apps) -> Tuple[RuleInstance, ...]:
+    """The instances of a state with the actors and signals of `top` and
+    these pending messages (`apps`, sorted, and their `texts`), read from
+    the section's `rule_entry`; a message text it has not met yet is
+    answered against `top` and kept.  A state whose messages enable
+    nothing gets the kept tuple itself."""
+    found, fates = entry
+    messages = []
+    last = None
+    for text, am in zip(texts, apps):
+        if text == last:
+            continue  # a copy: sorted texts put copies next to each other
+        last = text
+        fate = fates.get(text)
+        if fate is None:
+            fate = fates[text] = _message_rules(program, top, am)
+        messages += fate
+    if not messages:
+        return found  # sorted when it was stored
+    return tuple(sorted(list(found) + messages, key=_ORDER))
 
 
 # -- application ---------------------------------------------------------------

@@ -27,13 +27,14 @@ silently, once each, so the conversation is self-contained.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import rules
 from . import syntax as ast
-from .engine import apply_cached, enabled_rules, search
+from .engine import _MINTS, apply_cached, cached_rules, enabled_rules, rule_entry, search
 from .errors import (
     BoundaryMismatch,
     NotAWS,
@@ -383,15 +384,26 @@ def check_pair(
 # -- one side explored against a free boundary ---------------------------------
 
 
-def _inject(pc: PartialConfiguration, config: Configuration, feed: AppMessage):
-    """A peer call arriving at the side: (step, next configuration), or
-    None while a call of the same method to the same receiver is pending."""
-    for am in config.top.apps:
+def _inject(pc: PartialConfiguration, apps, feed: AppMessage) -> Optional[InteractionStep]:
+    """The consume step of a peer call arriving at a side whose pending
+    messages are `apps`, or None while a call of the same method to the
+    same receiver is pending."""
+    for am in apps:
         if am.dest == feed.dest and am.method == feed.method:
             return None
-    step = InteractionStep(boundary=pc.boundary, shape="consume-2", outer=pc.peer,
+    return InteractionStep(boundary=pc.boundary, shape="consume-2", outer=pc.peer,
                            inner=feed.dest, payload=feed.value)
-    return step, rules.boundary_in(config, feed)
+
+
+def _ejection(pc: PartialConfiguration, am: AppMessage) -> InteractionStep:
+    """What the side shows when `am` leaves it: an emit-2 where it
+    observes the ejection, a silent step elsewhere."""
+    if not _emit_visible(pc, am):
+        return silent(pc.boundary)
+    # a call to the gate is labelled with the peer it stands for
+    far = pc.peer if am.dest == pc.gate else am.dest
+    return InteractionStep(boundary=pc.boundary, shape="emit-2", outer=far,
+                           inner=am.src, payload=am.value)
 
 
 # silent, touch only their own site, and cannot be disabled by any other move
@@ -415,27 +427,28 @@ _COMMUTING = frozenset({"Request", "SendIn", "SendOut", "CreateAA", "CreateWSO",
 # Copies addressed to a member are never merged: a receiver may count
 # them.  `interaction_semantics`, `admits_sequence` and the product stay
 # exact, because they count sequences or copies.
-def _one_copy(config: Configuration) -> Configuration:
-    """The configuration with one copy of each pending message addressed
-    outside the fragment; itself when it holds no second copy of one."""
-    top = config.top
-    texts = top.key()[3]
+def _one_copy(apps, texts, mem):
+    """Pending messages `apps`, sorted by their `texts`, with one copy of
+    each addressed outside the fragment, whose members are `mem`: (apps,
+    texts), the given tuples when they hold no second copy of one."""
     if len(set(texts)) == len(texts):
-        return config
-    mem = members(top)
-    # apps are sorted by text, so copies sit next to each other
-    extra = [am for i, am in enumerate(top.apps)
-             if i and texts[i] == texts[i - 1] and am.dest not in mem]
-    return Configuration(top.derive(gone=extra)) if extra else config
+        return apps, texts
+    # copies sit next to each other
+    keep = [k for k, am in enumerate(apps)
+            if not (k and texts[k] == texts[k - 1] and am.dest not in mem)]
+    if len(keep) == len(apps):
+        return apps, texts
+    return tuple([apps[k] for k in keep]), tuple([texts[k] for k in keep])
 
 
-def _ample(pc: PartialConfiguration, config, insts):
+def _ample(pc: PartialConfiguration, top: Fragment, insts):
     """A silent instance whose order against every other move is inaudible.
 
     Local progress, signal routing, and ejections nobody observes commute
     with the rest of the configuration; running the first such instance
     alone reaches the same visible behaviour as fanning out.  Delivery
-    choices and observable ejections stay branching."""
+    choices and observable ejections stay branching.  `top` need only
+    hold the state's actors: a guard reads its receiver alone."""
     for inst in insts:
         if inst.rule_id in _COMMUTING:
             return inst
@@ -452,7 +465,7 @@ def _ample(pc: PartialConfiguration, config, insts):
             if sum(1 for j in insts if j.site == inst.site) != 1:
                 continue
             am = inst.subject
-            target = config.top.actor(am.dest)
+            target = top.actor(am.dest)
             d = pc.program.definition(target.behavior)
             m = d.method(am.method)
             if m is not None and m.guard == ast.TRUE:
@@ -468,39 +481,28 @@ def _edges(pc: PartialConfiguration, config, env_left, effects, *, free_peer=Tru
     With reduction on, one commuting silent move is taken alone; the full
     fan-out only opens where ordering can be heard at the boundary.  The
     enabled instances and each successor come from `effects`, the
-    search's cache of rule effects."""
+    search's cache of rule effects.  This is the reference the move
+    table's rows are tested against."""
     insts = enabled_rules(pc.program, config, cache=effects)
-    if reduced:
-        inst = _ample(pc, config, insts)
-        if inst is not None:
-            nxt = apply_cached(pc.program, config, inst, effects)
-            am = inst.subject if inst.rule_id == "Out" else None
-            return [(silent(pc.boundary), am, nxt, env_left)], True
+    ample = _ample(pc, config.top, insts) if reduced else None
     moves = []
-    for inst in insts:
+    for inst in insts if ample is None else (ample,):
         nxt = apply_cached(pc.program, config, inst, effects)
         if inst.rule_id == "Out":
-            am = inst.subject
-            if _emit_visible(pc, am):
-                # a call to the gate is labelled with the peer it stands for
-                far = pc.peer if am.dest == pc.gate else am.dest
-                step = InteractionStep(boundary=pc.boundary, shape="emit-2", outer=far,
-                                       inner=am.src, payload=am.value)
-            else:
-                step = silent(pc.boundary)
-            moves.append((step, am, nxt, env_left))
+            moves.append((_ejection(pc, inst.subject), inst.subject, nxt, env_left))
         else:
             moves.append((silent(pc.boundary), None, nxt, env_left))
+    if ample is not None:
+        return moves, True
     for i in sorted(env_left):
         feed = pc.env_feeds[i]
         nxt = rules.boundary_in(config, feed)
         moves.append((silent(pc.boundary), None, nxt, env_left - {i}))
     if free_peer:
         for feed in pc.peer_feeds:
-            arrival = _inject(pc, config, feed)
-            if arrival is not None:
-                step, nxt = arrival
-                moves.append((step, None, nxt, env_left))
+            step = _inject(pc, config.top.apps, feed)
+            if step is not None:
+                moves.append((step, None, rules.boundary_in(config, feed), env_left))
     return moves, False
 
 
@@ -576,48 +578,175 @@ def admits_sequence(
     return done
 
 
+# The move table's transitions.  A row is a side state split in parts:
+# its section (the actors and signals), its pending messages, its
+# restriction and its unconsumed feeds.  A section's first row to take an
+# instance applies the rule; every later row of the section replays the
+# step that application recorded.  This is exact:
+# - a rule reads only its site actor or signal, its subject, and, for
+#   `Out`, the restriction and the members.  Actors, signals and members
+#   belong to the section, and an instance's text names its subject in
+#   it.  So the section with the instance's text, and the restriction
+#   ids for `Out`, fix everything the rule reads: the transition key is
+#   finer than `engine._effect_key`;
+# - on every row of the section the rule then leaves the same actors and
+#   signals (the next section), consumes and produces the same messages,
+#   and keeps or sets the same restriction, which is the transition;
+# - the create rules draw fresh addresses and check them against every
+#   name in the fragment, pending messages included, so every row applies
+#   them and none replays them.
+# A feed or peer call enters as the message the In rule builds for it,
+# once per feed: every feed is addressed to the anchor, a receptionist
+# from the start, and an ejection only adds receptionists.
+def _transition_key(inst, rids):
+    """What a section keys the transition of `inst` by, on a row with
+    restriction ids `rids`; None for the create rules."""
+    if inst.rule_id in _MINTS:
+        return None
+    if inst.rule_id == "Out":
+        return inst[:3], rids
+    return inst[:3]  # the instance's text
+
+
+class _Section:
+    """The actors and signals that rows of a move table share."""
+
+    __slots__ = ("id", "top", "rules", "steps")
+
+    def __init__(self, sid: int, top: Fragment):
+        self.id = sid
+        self.top = top  # the first fragment met with these actors and signals
+        self.rules = None  # its `engine.rule_entry`, once a row of it expands
+        # transition key -> (next section id, texts of the messages consumed,
+        # (text, message) produced, (restriction, ids) or None to keep)
+        self.steps: dict = {}
+
+
 class _MoveTable:
     """One side's move table for one check.
 
-    Each side state gets a small integer id, by its `_state_key`, and a
-    row: its configuration and unconsumed feeds, its own moves as
-    `_edges` computes them without peer calls, and the peer calls that
-    arrive at it, by call text.  A move is (step, the call it sends
-    toward the gate as (text, value) or None, next id).  The solo search
-    fills rows as it expands them; the product and the witness read
-    them and compute only the states the solo search never reached.
-    This is exact because the key is the whole state (see README, "How
-    the composability check works")."""
+    Each side state gets a small integer id and a row, keyed by (section
+    id, pending message texts, restriction ids, unconsumed feeds): the
+    parts of its `_state_key`.  A row holds its own moves without peer
+    calls, as `_edges` computes them, and the peer calls that arrive at
+    it, by call text.  A move is (step, the call it sends toward the gate
+    as (text, value) or None, next id).  The solo search fills rows as it
+    expands them; the product and the witness read them and compute only
+    the states the solo search never reached.  Moves come from the
+    sections' transitions and edits of the row's pending messages; a
+    configuration is built only to enumerate a new section or to apply a
+    rule (see README, "How the composability check works")."""
 
-    __slots__ = ("pc", "effects", "ids", "rows", "calls")
+    __slots__ = ("pc", "effects", "ids", "rows", "section_ids", "sections", "calls", "entering")
 
     def __init__(self, pc: PartialConfiguration, effects: dict):
         self.pc = pc
         self.effects = effects  # the side's rule effects, shared by its phases
         self.ids: dict = {}
         self.rows: List[_Row] = []
-        self.calls: dict = {}  # call text -> the message a peer call arrives as
+        # (actor texts, signal texts) -> id, an index into `sections`; a
+        # transition names its next section by id, so sections hold no cycle
+        self.section_ids: dict = {}
+        self.sections: List[_Section] = []
+        # call text -> (text, message) of what a peer call enters as
+        self.calls: dict = {}
+        self.entering = [self._entering(feed) for feed in pc.env_feeds]
+
+    def _entering(self, feed: AppMessage) -> Tuple[str, AppMessage]:
+        """(text, message) of what `feed` enters the side as, built by the
+        In rule."""
+        am = rules.boundary_in(self.pc.config, feed).top._step[3][0]
+        return am.canon(), am
 
     def id(self, config: Configuration, env_left) -> int:
-        key = _state_key(config, env_left)
+        top = config.top
+        key = top.key()
+        sid = self.section_ids.get(key[1:3])
+        if sid is None:
+            sid = self.section_ids[key[1:3]] = len(self.sections)
+            self.sections.append(_Section(sid, top))
+        return self._row(self.sections[sid], top.apps, key[3], top.restriction, key[0],
+                         env_left)
+
+    def _row(self, sec: _Section, apps, texts, restriction, rids, env_left) -> int:
+        key = (sec.id, texts, rids, env_left)
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.rows)
-            self.rows.append(_Row(config, env_left))
+            self.rows.append(_Row(sec, apps, texts, restriction, rids, env_left))
         return i
+
+    def _after(self, row: "_Row", sid: int, gone, new, rest, env_left) -> int:
+        """The row a step from `row` leaves: section `sid`, the messages
+        whose texts are `gone` removed (one copy each) and the (text,
+        message) pairs in `new` added, the restriction `rest` or the
+        row's own when it is None."""
+        apps, texts = row.apps, row.texts
+        for text in gone:
+            k = texts.index(text)
+            apps, texts = apps[:k] + apps[k + 1:], texts[:k] + texts[k + 1:]
+        for text, am in new:
+            k = bisect_right(texts, text)
+            apps, texts = apps[:k] + (am,) + apps[k:], texts[:k] + (text,) + texts[k:]
+        restriction, rids = (row.restriction, row.rids) if rest is None else rest
+        return self._row(self.sections[sid], apps, texts, restriction, rids, env_left)
+
+    def instances(self, i: int):
+        """The rule instances row i enables, as `enabled_rules` orders
+        them; a new section's come from `enabled_rules` itself."""
+        row = self.rows[i]
+        sec, program = row.section, self.pc.program
+        if sec.rules is None:
+            insts = enabled_rules(program, row.config, cache=self.effects)
+            sec.rules = rule_entry(program, sec.top, self.effects)
+            return insts
+        return cached_rules(program, sec.top, sec.rules, row.texts, row.apps)
+
+    def successor(self, i: int, inst) -> int:
+        """The row `inst` leads to from row i: replayed from its section's
+        transition, or applied to the row's configuration and learned."""
+        row = self.rows[i]
+        sec = row.section
+        key = _transition_key(inst, row.rids)
+        step = sec.steps.get(key)  # None, the create rules' key, is never stored
+        if step is not None:
+            return self._after(row, *step, row.env_left)
+        nxt = apply_cached(self.pc.program, row.config, inst, self.effects)
+        j = self.id(nxt, row.env_left)
+        if key is not None:
+            _actor, _born, gone, new, restriction = nxt.top._step
+            to = self.rows[j]
+            sec.steps[key] = (
+                to.section.id,
+                tuple([m.canon() for m in gone if m.__class__ is AppMessage]),
+                tuple([(m.canon(), m) for m in new if m.__class__ is AppMessage]),
+                None if restriction == "keep" else (to.restriction, to.rids),
+            )
+        return j
 
     def moves(self, i: int):
         """The row's own moves, and whether they are one ample move alone."""
         row = self.rows[i]
         if row.moves is None:
-            edges, row.ample = _edges(self.pc, row.config, row.env_left, self.effects,
-                                      free_peer=False)
-            row.moves = []
-            for step, am, nxt, env2 in edges:
-                # a call toward the gate lands, with its text, in the other side's in-bag
-                toward_gate = am is not None and am.dest == self.pc.gate
-                sent = (canon_value(am.value), am.value) if toward_gate else None
-                row.moves.append((step, sent, self.id(nxt, env2)))
+            insts = self.instances(i)
+            ample = _ample(self.pc, row.section.top, insts)
+            quiet = silent(self.pc.boundary)
+            moves = []
+            for inst in insts if ample is None else (ample,):
+                j = self.successor(i, inst)
+                if inst.rule_id == "Out":
+                    # a call toward the gate lands, with its text, in the other side's in-bag
+                    am = inst.subject
+                    sent = (canon_value(am.value), am.value) if am.dest == self.pc.gate else None
+                    moves.append((_ejection(self.pc, am), sent, j))
+                else:
+                    moves.append((quiet, None, j))
+            if ample is None:
+                for k in sorted(row.env_left):
+                    j = self._after(row, row.section.id, (), (self.entering[k],), None,
+                                    row.env_left - {k})
+                    moves.append((quiet, None, j))
+            row.moves, row.ample = moves, ample is not None
         return row.moves, row.ample
 
     def arrival(self, i: int, text: str, value: Value):
@@ -630,27 +759,45 @@ class _MoveTable:
             return row.arrivals[text]
         feed = self.calls.get(text)
         if feed is None:
-            feed = self.calls[text] = AppMessage(dest=self.pc.anchor, value=value)
-        arrival = _inject(self.pc, row.config, feed)
-        if arrival is not None:
-            step, nxt = arrival
-            arrival = step, self.id(nxt, row.env_left)
-        row.arrivals[text] = arrival
-        return arrival
+            feed = self.calls[text] = self._entering(AppMessage(dest=self.pc.anchor, value=value))
+        step = _inject(self.pc, row.apps, feed[1])
+        if step is not None:
+            step = step, self._after(row, row.section.id, (), (feed,), None, row.env_left)
+        row.arrivals[text] = step
+        return step
+
+    def one_copy(self, i: int) -> int:
+        """The row of state i's solo quotient (see `_one_copy`)."""
+        row = self.rows[i]
+        apps, texts = _one_copy(row.apps, row.texts, members(row.section.top))
+        if apps is row.apps:
+            return i
+        return self._row(row.section, apps, texts, row.restriction, row.rids, row.env_left)
 
 
 class _Row:
     """One side state in a move table; `moves` and `arrivals` fill as
     they are first asked for."""
 
-    __slots__ = ("config", "env_left", "moves", "ample", "arrivals")
+    __slots__ = ("section", "apps", "texts", "restriction", "rids", "env_left",
+                 "moves", "ample", "arrivals")
 
-    def __init__(self, config: Configuration, env_left: FrozenSet[int]):
-        self.config = config
+    def __init__(self, section: _Section, apps, texts, restriction, rids, env_left):
+        self.section = section
+        self.apps = apps  # pending application messages, sorted by text
+        self.texts = texts
+        self.restriction = restriction
+        self.rids = rids  # the restriction's sorted ids, or None
         self.env_left = env_left
         self.moves = None
         self.ample = False
         self.arrivals = None
+
+    @property
+    def config(self) -> Configuration:
+        """The state's configuration, built anew."""
+        return Configuration(
+            self.section.top.with_pending(self.apps, self.texts, self.restriction, self.rids))
 
 
 def _solo_labels(
@@ -669,11 +816,7 @@ def _solo_labels(
 
     def quotient(i: int, j: int) -> int:
         # a step that left the pending messages alone cannot add a copy
-        nxt = rows[j].config
-        if nxt.top.apps is rows[i].config.top.apps:
-            return j
-        one = _one_copy(nxt)
-        return j if one is nxt else table.id(one, rows[j].env_left)
+        return j if rows[j].apps is rows[i].apps else table.one_copy(j)
 
     def successors(i, count):
         moves, ample = table.moves(i)
@@ -692,9 +835,8 @@ def _solo_labels(
                 labels.add(step.key())
                 yield quotient(i, j), count + 1
 
-    config, env_left = _start(pc)
     visits = search(
-        table.id(_one_copy(config), env_left),
+        table.one_copy(table.id(*_start(pc))),
         int,  # a row id is its state's key
         successors,
         phase=f"solo {pc.behavior}", depth=depth, budget=max_states,

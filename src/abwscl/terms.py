@@ -439,6 +439,19 @@ class Fragment:
         f.__dict__.update(memo)
         return f
 
+    def with_pending(self, apps, app_texts, restriction, rids) -> "Fragment":
+        """This fragment's actors and signals with other pending messages
+        and restriction.  `apps` is sorted by text; `app_texts` and `rids`
+        are the new key's message and restriction sections, so the key is
+        spliced from parts, as `derive` splices it."""
+        key = self.key()
+        f = object.__new__(Fragment)
+        f.__dict__.update({"actors": self.actors, "events": self.events, "apps": apps,
+                           "restriction": restriction,
+                           "_key": (rids, key[1], key[2], app_texts),
+                           "_members": members(self)})
+        return f
+
     def key(self) -> tuple:
         """Identity for search: equal exactly when the canon texts are,
         built from member texts already memoised on shared terms."""

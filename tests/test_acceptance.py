@@ -3,10 +3,13 @@ composition when a send is dropped, agree with independent enumeration
 oracles, keep its structural invariants under random scheduling, flag
 broken corpora, and export stable documents."""
 
+import hashlib
 import random
+import sys
 import time
 import xml.etree.ElementTree as ET
 from collections import deque
+from pathlib import Path
 
 from abwscl import Program, engine, interaction, rules, wsmap
 from abwscl.interaction import InteractionSequence, InteractionStep, dual
@@ -24,6 +27,14 @@ from abwscl.terms import (
     receptionists,
     rename,
 )
+
+# the benchmark's reference digests, read from its own module
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import expected
+finally:
+    sys.path.remove(PERFBENCH)
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 
@@ -45,6 +56,24 @@ def test_bundled_composition_runs_to_quiescence(program):
     assert trace.quiescent
     assert [m.method for m in trace.ws_exchanges()] == GOLDEN_EXCHANGES
     assert elapsed < 1.0
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_reference_trace_and_export_is_byte_identical(program):
+    """Each run seed the benchmark knows prints the trace text it
+    recorded, and each export renders its recorded document."""
+    assert len(expected.TRACE_SHA256) == 64 and len(expected.EXPORT_SHA256) == 3
+    for seed, digest in sorted(expected.TRACE_SHA256.items()):
+        alloc = AddressAllocator()
+        config = initial_configuration(program, expected.CHOREOGRAPHY, alloc)
+        trace = engine.run(program, config, max_steps=expected.MAX_STEPS, seed=seed, alloc=alloc)
+        assert trace.quiescent, seed
+        assert _sha256(trace.text()) == digest, seed
+    for (target, name), digest in expected.EXPORT_SHA256.items():
+        assert _sha256(wsmap.export(program, target, name).to_text()) == digest, (target, name)
 
 
 def test_corpus_pairs_compose_within_budget(program):

@@ -177,3 +177,20 @@ def test_export_unknown_name(corpus_file, tmp_path):
         "export", "bpel", "Nobody", corpus_file, "--out", tmp_path
     )
     assert code == 2
+
+
+def test_run_into_a_missing_directory_is_an_error(mini_file, tmp_path):
+    missing = tmp_path / "nonexistent_dir" / "trace.txt"
+    code, out, err = run_cli("run", "MiniWSC", mini_file, "--out", missing)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "nonexistent_dir" in err
+    assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_export_into_a_missing_directory_is_an_error(corpus_file, tmp_path):
+    missing = tmp_path / "nonexistent_dir"
+    code, out, err = run_cli("export", "cdl", "BuyingBookWSC", corpus_file, "--out", missing)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "nonexistent_dir" in err
+    assert not missing.exists()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abwscl import AddressAllocator, Program, engine, initial_configuration, interaction
+from abwscl import AddressAllocator, Program, engine, initial_configuration, interaction, rules
 from abwscl.errors import BoundaryMismatch, NoPendingMessage, SilentDivergence, UnknownName
 from abwscl.interaction import (
     BOUNDARIES,
@@ -22,7 +22,7 @@ from abwscl.interaction import (
     ws_side,
     wso_side,
 )
-from abwscl.terms import Address, AppMessage, Event, call_record, canon_value, members
+from abwscl.terms import Address, AppMessage, Event, Fragment, call_record, canon_value, members
 
 from test_acceptance import CORPUS_PAIRS, PAIR_SOURCE
 
@@ -311,33 +311,35 @@ def _fresh_moves(edges, table, i):
 
 def _fresh_arrival(table, i, text):
     """A peer call arriving at the row, computed anew."""
-    pc, row = table.pc, table.rows[i]
-    call = AppMessage(dest=pc.anchor, src=pc.gate, value=table.calls[text].value)
-    fresh = interaction._inject(pc, row.config, call)
-    return None if fresh is None else (fresh[0].label(), fresh[1].canon())
+    pc, config = table.pc, table.rows[i].config
+    call = AppMessage(dest=pc.anchor, src=pc.gate, value=table.calls[text][1].value)
+    step = interaction._inject(pc, config.top.apps, call)
+    return None if step is None else (step.label(), rules.boundary_in(config, call).canon())
 
 
 @pytest.mark.parametrize("case", ["dropped sendPB", "mini", "ws-ws requestLB"])
 def test_move_table_matches_fresh_moves(
     case, monkeypatch, mutant_program, mini_program, request_lb_mutant_program
 ):
-    """Every move-table entry the product and the witness read, those the
-    solo search filled included, is what its state computes anew; and no
-    side state's moves are computed twice in one check."""
+    """Every move-table entry the solo search filled and the product and
+    the witness read is what its state, built from the row, computes
+    anew with `_edges`; and no side state's moves are computed twice in
+    one check."""
     program, pair = {
         "dropped sendPB": (mutant_program, ("BookStoreWSO", "BookStoreWS", "wso-ws")),
         "mini": (mini_program, ("MiniWSO", "MiniWS", "wso-ws")),
         "ws-ws requestLB": (request_lb_mutant_program, ("UserAgentWS", "BookStoreWS", "ws-ws")),
     }[case]
-    edges, solo_labels, product_edges = (
-        interaction._edges, interaction._solo_labels, interaction._product_edges)
-    computed = []  # (side, state key) per computation of a side's own moves
+    edges, ample, solo_labels, product_edges = (
+        interaction._edges, interaction._ample, interaction._solo_labels,
+        interaction._product_edges)
+    computed = []  # one side per computation of a row's own moves
     after_solo = {}  # table -> rows whose moves the solo search computed
     expanded = []  # (table A, table M, product state) per product expansion
 
-    def counting(pc, config, env_left, effects, **kw):
-        computed.append((pc.behavior, interaction._state_key(config, env_left)))
-        return edges(pc, config, env_left, effects, **kw)
+    def counting(pc, top, insts):
+        computed.append(pc.behavior)  # once per expanded row
+        return ample(pc, top, insts)
 
     def solo(pc, depth, table, **kw):
         got = solo_labels(pc, depth, table, **kw)
@@ -348,13 +350,18 @@ def test_move_table_matches_fresh_moves(
         expanded.append((table_a, table_m, state))
         return product_edges(table_a, table_m, state)
 
-    monkeypatch.setattr(interaction, "_edges", counting)
+    monkeypatch.setattr(interaction, "_ample", counting)
     monkeypatch.setattr(interaction, "_solo_labels", solo)
     monkeypatch.setattr(interaction, "_product_edges", recording)
     verdict = compatible(*check_pair(program, *pair))
     monkeypatch.undo()
     assert verdict.kind == ("Composable" if case == "mini" else "Incompatible")
-    assert len(computed) == len(set(computed))
+    filled = [(table, i) for table in after_solo
+              for i, row in enumerate(table.rows) if row.moves is not None]
+    assert len(computed) == len(filled)
+    states = {(table, interaction._state_key(table.rows[i].config, table.rows[i].env_left))
+              for table, i in filled}
+    assert len(states) == len(filled)
 
     read = set()  # (table, row) whose moves the product or the witness read
     arrivals = set()  # (table, row, call text) it drew from a bag
@@ -365,8 +372,9 @@ def test_move_table_matches_fresh_moves(
             if not table_m.rows[m].ample:
                 arrivals |= {(table_a, a, text) for text, _v in bag_ma}
                 arrivals |= {(table_m, m, text) for text, _v in bag_am}
-    assert any(i in after_solo[table] for table, i in read)
-    for table, i in read:
+    solo_filled = {(table, i) for table, rows in after_solo.items() for i in rows}
+    assert read & solo_filled
+    for table, i in read | solo_filled:
         assert _table_moves(table, i) == _fresh_moves(edges, table, i)
     assert arrivals
     for table, i, text in arrivals:
@@ -430,13 +438,46 @@ WS PublishWS {
 """
 
 
+def _watch_successors(monkeypatch):
+    """Check every successor a move table replays from a section's
+    transition against the rule applied afresh to the row's state, and
+    record each successor as (table, row, instance, next row, replayed)."""
+    cached, successor = interaction.apply_cached, interaction._MoveTable.successor
+    applied = []
+    records = []
+
+    def counting(*args):
+        applied.append(args[2])
+        return cached(*args)
+
+    def checked(table, i, inst):
+        before = len(applied)
+        j = successor(table, i, inst)
+        replayed = len(applied) == before
+        if replayed:
+            config = table.rows[i].config
+            fresh = engine.apply_instance(
+                table.pc.program, config, inst, engine.allocator_for(config))[0]
+            got = table.rows[j].config
+            assert got.top.key() == fresh.top.key()
+            assert got.canon() == fresh.canon()
+            assert members(got.top) == members(fresh.top)
+        records.append((table, i, inst, j, replayed))
+        return j
+
+    monkeypatch.setattr(interaction, "apply_cached", counting)
+    monkeypatch.setattr(interaction._MoveTable, "successor", checked)
+    return records
+
+
 def test_cached_successors_match_fresh_rule_applications(
     monkeypatch, program, mutant_program, mini_program
 ):
-    """Every successor a check replays from a recorded step is the one
-    the rule builds afresh, and a consumed subject is not consumed twice.
-    Deliveries, partnerings and ejections that publish names replay too."""
-    cached = interaction.apply_cached
+    """Every successor a check replays from a recorded step, a rule
+    effect or a section's transition, is the one the rule builds afresh,
+    and a consumed subject is not consumed twice.  Deliveries,
+    partnerings and ejections that publish names replay too."""
+    cached = engine.apply_cached
     tally = {"hits": 0, "stale hits": 0}
     replayed = set()
 
@@ -460,6 +501,17 @@ def test_cached_successors_match_fresh_rule_applications(
 
     monkeypatch.setattr(interaction, "apply_cached", checked)
     monkeypatch.setattr(engine, "apply_cached", checked)
+    records = _watch_successors(monkeypatch)
+
+    def transitions():
+        # the move tables' replays, as `checked` names effect hits
+        for table, i, inst, j, again in records:
+            if again:
+                tally["hits"] += 1
+                publishes = table.rows[j].restriction != table.rows[i].restriction
+                replayed.add(inst.rule_id + (" publishing" if publishes else ""))
+        del records[:]
+
     for prog, pair, boundary in [
         (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
         (mutant_program, ("BookStoreWSO", "BookStoreWS"), "wso-ws"),
@@ -467,8 +519,10 @@ def test_cached_successors_match_fresh_rule_applications(
     ]:
         tally.update(hits=0, **{"stale hits": 0})
         composable(*check_pair(prog, *pair, boundary))
+        transitions()
         assert tally["hits"] > 0 and tally["stale hits"] > 0, (pair, tally)
     composable(*check_pair(Program.parse(PUBLISH_SOURCE), "PublishWSO", "PublishWS", "wso-ws"))
+    transitions()
     # a closed choreography, whose services are partnered by setPartner calls
     engine.explore(mini_program, initial_configuration(mini_program, "MiniWSC", AddressAllocator()), 8)
     assert {"ReadyDeliver", "SetPartner", "Out publishing"} <= replayed, replayed
@@ -478,9 +532,10 @@ def test_cached_enabled_rules_match_fresh_enumeration(
     monkeypatch, program, mutant_program, mini_program
 ):
     """At every state a search expands, the instances read from its rule
-    cache are the ones a fresh enumeration finds: the same subjects, in
-    the same order, with one instance per distinct pending message."""
-    enabled = engine.enabled_rules
+    cache, or from a move table's section, are the ones a fresh
+    enumeration finds: the same subjects, in the same order, with one
+    instance per distinct pending message."""
+    enabled, instances = engine.enabled_rules, interaction._MoveTable.instances
     seen = {"states": 0, "rules": set()}
 
     def checked(prog, config, feeds=(), cache=None):
@@ -491,8 +546,16 @@ def test_cached_enabled_rules_match_fresh_enumeration(
             seen["rules"].update(inst.rule_id for inst in got)
         return got
 
+    def table_checked(table, i):
+        got = instances(table, i)
+        assert got == enabled(table.pc.program, table.rows[i].config)
+        seen["states"] += 1
+        seen["rules"].update(inst.rule_id for inst in got)
+        return got
+
     monkeypatch.setattr(engine, "enabled_rules", checked)
     monkeypatch.setattr(interaction, "enabled_rules", checked)
+    monkeypatch.setattr(interaction._MoveTable, "instances", table_checked)
     for prog, pair, boundary in [
         (program, ("UserAgentWS", "BookStoreWS"), "ws-ws"),
         (program, ("UserAgentWSO", "UserAgentWS"), "wso-ws"),
@@ -578,33 +641,76 @@ AA TickAA {
 """
 
 
-def test_reduced_solo_search_keeps_equal_pending_copies(monkeypatch):
+def test_reduced_solo_search_keeps_equal_pending_copies():
     """The reduced solo search reaches states where two equal `tick` calls
     wait at a ready member, and finds every visible step the unreduced
     semantics finds, `done` included."""
     program = Program.parse(COUNT_SOURCE)
     assert program.validate() == ()
     pc = wso_side(program, "CountWSO")
-    edges = interaction._edges
+    table = interaction._MoveTable(pc, {})
+    labels, _states = interaction._solo_labels(pc, 1, table)
     reached = []
-
-    def recording(pc_, config, env_left, effects, **kw):
-        top = config.top
+    for row in table.rows:
+        if row.moves is None:
+            continue  # reached, never expanded
+        top = row.config.top
         ready = {e.src for e in top.events if e.event is Event.READY}
         texts = [am.canon() for am in top.apps]
         reached.extend(
             am for am in top.apps
             if am.method == "tick" and am.dest in ready and texts.count(am.canon()) == 2
         )
-        return edges(pc_, config, env_left, effects, **kw)
-
-    monkeypatch.setattr(interaction, "_edges", recording)
-    labels, _states = interaction._solo_labels(pc, 1, {})
     assert reached
-    monkeypatch.undo()
     exact = interaction_semantics(pc, 1)
     assert labels == {step.key() for seq in exact for step in seq if step.visible}
     assert labels == {("emit-2", "done")}
+
+
+@pytest.mark.parametrize("case", ["publish", "count", "pair", "mini", "dropped sendPB",
+                                  "ws-ws requestLB"])
+def test_replayed_transitions_match_fresh_rule_applications(
+    case, monkeypatch, mutant_program, mini_program, request_lb_mutant_program
+):
+    """A transition a section learned on one row and replays on another,
+    whose pending messages or restriction differ, reaches what the rule
+    builds afresh there (checked by `_watch_successors`); the create
+    rules are applied on every row and never replayed."""
+    program, pair = {
+        "publish": (Program.parse(PUBLISH_SOURCE), ("PublishWSO", "PublishWS", "wso-ws")),
+        "count": (Program.parse(COUNT_SOURCE), ("CountWSO", "CountWS", "wso-ws")),
+        "pair": (Program.parse(PAIR_SOURCE), ("PairWSO", "GateWS", "wso-ws")),
+        "mini": (mini_program, ("MiniWSO", "MiniWS", "wso-ws")),
+        "dropped sendPB": (mutant_program, ("BookStoreWSO", "BookStoreWS", "wso-ws")),
+        "ws-ws requestLB": (request_lb_mutant_program, ("UserAgentWS", "BookStoreWS", "ws-ws")),
+    }[case]
+    records = _watch_successors(monkeypatch)
+    compatible(*check_pair(program, *pair))
+    monkeypatch.undo()
+
+    learned = {}  # (table, section id, instance text) -> the row it was applied on first
+    differs = {"messages": 0, "restriction": 0}
+    creates = []  # (table, section id, instance text) per create applied
+    for table, i, inst, _j, replayed in records:
+        row = table.rows[i]
+        key = (table, row.section.id, inst.key)
+        if inst.rule_id in engine._MINTS:
+            assert not replayed, inst
+            creates.append(key)
+        if not replayed:
+            learned.setdefault(key, row)
+            continue
+        first = learned[key]
+        differs["messages"] += first.texts != row.texts
+        differs["restriction"] += first.rids != row.rids
+    assert differs["messages"] > 0, differs
+    if case == "publish":
+        # ejecting `pong` publishes the helper; steps after it replay
+        # what was learned before it
+        assert differs["restriction"] > 0, differs
+    if case == "pair":
+        # each `kick` creates a doer, with another `kick` pending or not
+        assert len(creates) > len(set(creates))
 
 
 def _outbound_copies(config):
@@ -641,19 +747,14 @@ def test_one_copy_quotient_keeps_solo_labels(
         depth = default_depth(pc_a, pc_m)
         sides += [(pc_a, depth), (pc_m, depth)]
 
-    edges = interaction._edges
-    copies = []
-
-    def recording(pc, config, env_left, effects, **kw):
-        if pc.behavior == "UserAgentWSO":
-            copies.extend(_outbound_copies(config))
-        return edges(pc, config, env_left, effects, **kw)
-
-    monkeypatch.setattr(interaction, "_edges", recording)
-    quotiented = [interaction._solo_labels(pc, depth, {}) for pc, depth in sides]
+    tables = [interaction._MoveTable(pc, {}) for pc, _depth in sides]
+    quotiented = [interaction._solo_labels(pc, depth, table)
+                  for (pc, depth), table in zip(sides, tables)]
+    copies = [am for table in tables if table.pc.behavior == "UserAgentWSO"
+              for row in table.rows if row.moves is not None
+              for am in _outbound_copies(row.config)]
     assert copies == []
-    monkeypatch.setattr(interaction, "_edges", edges)
-    monkeypatch.setattr(interaction, "_one_copy", lambda config: config)
+    monkeypatch.setattr(interaction, "_one_copy", lambda apps, texts, mem: (apps, texts))
     exact = [interaction._solo_labels(pc, depth, {}) for pc, depth in sides]
     for (pc, _depth), (labels, states), (want, exact_states) in zip(sides, quotiented, exact):
         assert labels == want, pc.behavior
@@ -707,17 +808,24 @@ def test_sequences_count_equal_outbound_copies():
 
 
 def test_state_keys_agree_with_canon_text(monkeypatch, program):
-    """Over every state a ws-ws check keys, solo and product, two
-    configurations share a key exactly when they share their text."""
-    seen = set()
-    state_key = interaction._state_key
+    """Over every row a ws-ws check keys, solo and product, two rows share
+    a key exactly when the configurations built from them share their
+    text, and a built configuration's key is the one its terms give."""
+    tables = []
+    init = interaction._MoveTable.__init__
 
-    def recording(config, env_left):
-        seen.add((config.top.key(), config.canon()))
-        return state_key(config, env_left)
+    def recording(table, pc, effects):
+        init(table, pc, effects)
+        tables.append(table)
 
-    monkeypatch.setattr(interaction, "_state_key", recording)
+    monkeypatch.setattr(interaction._MoveTable, "__init__", recording)
     composable(*check_pair(program, "UserAgentWS", "BookStoreWS", "ws-ws"))
+    seen = set()
+    for n, table in enumerate(tables):
+        for (section, texts, rids, _env_left), i in table.ids.items():
+            top = table.rows[i].config.top
+            assert top.key() == Fragment(top.actors, top.events, top.apps, top.restriction).key()
+            seen.add(((n, section, texts, rids), (n, top.canon())))
     assert len(seen) > 1000
     assert len({k for k, _c in seen}) == len({c for _k, c in seen}) == len(seen)
 
