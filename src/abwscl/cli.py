@@ -83,12 +83,9 @@ def cmd_run(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
     if not program.has(cfg.name):
         print(f"error: no behaviour named {cfg.name!r}", file=err)
         return UNKNOWN
-    alloc = AddressAllocator()
     try:
-        config = initial_configuration(program, cfg.name, alloc)
-        trace = engine_run(
-            program, config, max_steps=cfg.max_steps, seed=cfg.seed, alloc=alloc
-        )
+        config = initial_configuration(program, cfg.name, AddressAllocator())
+        trace = engine_run(program, config, max_steps=cfg.max_steps, seed=cfg.seed)
     except AbwsclError as e:
         print(f"error: {e}", file=err)
         return INVALID

@@ -29,7 +29,6 @@ from .terms import (
     EventMessage,
     Fragment,
     _without,
-    members,
 )
 
 
@@ -158,70 +157,19 @@ def enabled_rules(
     program: Program,
     config: Configuration,
     feeds: Sequence[AppMessage] = (),
-    cache: Optional[dict] = None,
 ) -> Tuple[RuleInstance, ...]:
     """Every rule instance whose side conditions hold, in a deterministic
     order (rule id, then site, then consumed payload).  Copies of a
     pending message share one instance: whichever copy a step consumes,
-    it reaches the same configuration.
-
-    `cache` is a search's own dict, the one apply_cached fills, holding
-    one `rule_entry` per actor and signal section of the state key, so a
-    state computes only what no earlier state of the search has
-    answered.  Without it, as in a run, nothing is kept and no key is
-    built."""
+    it reaches the same configuration."""
     top = config.top
-    if cache is None:
-        insts = _section_rules(program, top)
-        for am in {am.canon(): am for am in top.apps}.values():
-            insts += _message_rules(program, top, am)
-    else:
-        entry = rule_entry(program, top, cache)
-        found = cached_rules(program, top, entry, top.key()[3], top.apps)
-        if not feeds:
-            return found
-        insts = list(found)
-
+    insts = _section_rules(program, top)
+    for am in {am.canon(): am for am in top.apps}.values():
+        insts += _message_rules(program, top, am)
     for f in feeds:
         if rules.feed_rule(top, f) == "In":
             insts.append(RuleInstance("In", f.dest.id, f.canon(), f))
-
     return tuple(sorted(insts, key=_ORDER))
-
-
-def rule_entry(program: Program, top: Fragment, cache: dict):
-    """What the actors and signals of `top` enable, as kept in `cache`:
-    (their instances, sorted; pending message text -> its instances).
-    Every fragment with the same actors and signals shares the entry."""
-    key = top.key()
-    section = (key[1], key[2])  # a pair of tuples: never an _effect_key
-    entry = cache.get(section)
-    if entry is None:
-        found = tuple(sorted(_section_rules(program, top), key=_ORDER))
-        entry = cache[section] = (found, {})
-    return entry
-
-
-def cached_rules(program: Program, top: Fragment, entry, texts, apps) -> Tuple[RuleInstance, ...]:
-    """The instances of a state with the actors and signals of `top` and
-    these pending messages (`apps`, sorted, and their `texts`), read from
-    the section's `rule_entry`; a message text it has not met yet is
-    answered against `top` and kept.  A state whose messages enable
-    nothing gets the kept tuple itself."""
-    found, fates = entry
-    messages = []
-    last = None
-    for text, am in zip(texts, apps):
-        if text == last:
-            continue  # a copy: sorted texts put copies next to each other
-        last = text
-        fate = fates.get(text)
-        if fate is None:
-            fate = fates[text] = _message_rules(program, top, am)
-        messages += fate
-    if not messages:
-        return found  # sorted when it was stored
-    return tuple(sorted(list(found) + messages, key=_ORDER))
 
 
 # -- application ---------------------------------------------------------------
@@ -284,48 +232,13 @@ def apply_instance(
     return cfg, produced, tuple([m for m in new if m.__class__ is AppMessage])
 
 
-def _effect_key(top: Fragment, inst: RuleInstance):
-    """Everything the instance's rule reads, or None for a rule that reads
-    more: the create rules draw on the actor ids and check freshness
-    against every name in use.  A send's route is already in its id."""
-    rid = inst.rule_id
-    if rid in ("SendIn", "SendOut"):
-        return rid, inst.payload
-    if rid == "Out":
-        return rid, inst.payload, top.restriction, members(top)
-    if rid == "Request":
-        site = inst.subject
-    elif rid in ("Compute", "ReadyDeliver", "SetPartner"):
-        site = inst.subject.dest
-    else:
-        return None
-    actor = top.actor(site)
-    return rid, inst.payload, actor.canon() if actor is not None else None
-
-
-def apply_cached(
-    program: Program,
-    config: Configuration,
-    inst: RuleInstance,
-    effects: dict,
+def next_configuration(
+    program: Program, config: Configuration, inst: RuleInstance
 ) -> Configuration:
-    """apply_instance's configuration, replayed from the step the same
-    rule took wherever it read the same terms.
-
-    `effects` is the caller's, one per search: a miss applies the rule and
-    stores the step its Fragment.derive call recorded; a hit derives with
-    that step again.  The step's consumed messages include the subject, so
-    a replay removes an equal pending copy, raising NoPendingMessage when
-    none is pending, as the rule would."""
-    key = _effect_key(config.top, inst)
-    step = effects.get(key)  # None, the create rules' key, is never stored
-    if step is None:
-        alloc = allocator_for(config) if inst.rule_id in _MINTS else None
-        nxt = apply_instance(program, config, inst, alloc)[0]
-        if key is not None:
-            effects[key] = nxt.top._step
-        return nxt
-    return Configuration(config.top.derive(*step))
+    """apply_instance's configuration, a create rule minting from
+    allocator_for(config), as a run from `config` would."""
+    alloc = allocator_for(config) if inst.rule_id in _MINTS else None
+    return apply_instance(program, config, inst, alloc)[0]
 
 
 # -- schedulers ----------------------------------------------------------------
@@ -412,9 +325,8 @@ def run(
 ) -> Trace:
     """Drive a configuration until quiescence or the step limit.
 
-    Pass the allocator that minted the configuration's addresses when the
-    run may create actors; by default a new one is advanced past every
-    counter already in use.
+    A create step mints from `alloc`, by default `allocator_for(config)`,
+    which equals the allocator that minted the configuration's addresses.
     """
     if sched is None:
         sched = FairRoundRobin(seed)
@@ -449,12 +361,12 @@ def explore(
 
     Returns (reachable configuration canons, boundary-label sequences).
     The label set is prefix-closed: every visited path contributes the
-    boundary crossings seen so far.  A create step mints the addresses
-    a run through the same steps would.
+    boundary crossings seen so far.  Every state enumerates and applies
+    its rules afresh, as a run does, and a create step mints the
+    addresses a run through the same steps would.
     """
     configs = set()
     labels_seen = set()
-    effects: dict = {}
 
     def successors(node, used):
         cfg, fds, labels = node
@@ -462,8 +374,8 @@ def explore(
         labels_seen.add(labels)
         if used >= depth:
             return
-        for inst in enabled_rules(program, cfg, feeds=fds, cache=effects):
-            cfg2 = apply_cached(program, cfg, inst, effects)
+        for inst in enabled_rules(program, cfg, feeds=fds):
+            cfg2 = next_configuration(program, cfg, inst)
             fds2 = _without(fds, inst.subject) if inst.rule_id == "In" else fds
             label = inst.boundary_label()
             labels2 = labels if label is None else labels + (label,)

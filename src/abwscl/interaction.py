@@ -34,7 +34,14 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import rules
 from . import syntax as ast
-from .engine import _MINTS, apply_cached, cached_rules, enabled_rules, rule_entry, search
+from .engine import (
+    _MINTS,
+    _ORDER,
+    _message_rules,
+    enabled_rules,
+    next_configuration,
+    search,
+)
 from .errors import (
     BoundaryMismatch,
     NotAWS,
@@ -473,111 +480,6 @@ def _ample(pc: PartialConfiguration, top: Fragment, insts):
     return None
 
 
-def _edges(pc: PartialConfiguration, config, env_left, effects, *, free_peer=True,
-           reduced=True):
-    """Moves from here: (step, ejected message or None, next configuration,
-    next env_left).
-
-    With reduction on, one commuting silent move is taken alone; the full
-    fan-out only opens where ordering can be heard at the boundary.  The
-    enabled instances and each successor come from `effects`, the
-    search's cache of rule effects.  This is the reference the move
-    table's rows are tested against."""
-    insts = enabled_rules(pc.program, config, cache=effects)
-    ample = _ample(pc, config.top, insts) if reduced else None
-    moves = []
-    for inst in insts if ample is None else (ample,):
-        nxt = apply_cached(pc.program, config, inst, effects)
-        if inst.rule_id == "Out":
-            moves.append((_ejection(pc, inst.subject), inst.subject, nxt, env_left))
-        else:
-            moves.append((silent(pc.boundary), None, nxt, env_left))
-    if ample is not None:
-        return moves, True
-    for i in sorted(env_left):
-        feed = pc.env_feeds[i]
-        nxt = rules.boundary_in(config, feed)
-        moves.append((silent(pc.boundary), None, nxt, env_left - {i}))
-    if free_peer:
-        for feed in pc.peer_feeds:
-            step = _inject(pc, config.top.apps, feed)
-            if step is not None:
-                moves.append((step, None, rules.boundary_in(config, feed), env_left))
-    return moves, False
-
-
-def _start(pc: PartialConfiguration):
-    return (pc.config, frozenset(range(len(pc.env_feeds))))
-
-
-def _state_key(config: Configuration, env_left) -> Tuple[tuple, FrozenSet[int]]:
-    return (config.top.key(), env_left)
-
-
-def interaction_semantics(
-    pc: PartialConfiguration, depth: int, *, max_states: int = _MAX_STATES
-) -> FrozenSet[InteractionSequence]:
-    """All boundary behaviours within the given number of visible steps.
-
-    Peer calls are consumed freely, silent neighbours feed once each.
-    Runs of internal work compress to a single silent marker before the
-    next visible step; a sequence never ends on a marker.
-    """
-    found: Set[Tuple[InteractionStep, ...]] = {()}
-    effects: dict = {}
-
-    def successors(node, visible):
-        config, env_left, steps, quiet = node
-        moves, _det = _edges(pc, config, env_left, effects, reduced=False)
-        for step, _am, nxt, env2 in moves:
-            if not step.visible:
-                yield (nxt, env2, steps, True), visible
-            elif visible < depth:
-                steps2 = steps + ((silent(pc.boundary),) if quiet else ()) + (step,)
-                found.add(steps2)
-                yield (nxt, env2, steps2, False), visible + 1
-
-    search(
-        _start(pc) + ((), False),
-        lambda n: (_state_key(n[0], n[1]), n[2], n[3]),
-        successors,
-        phase="semantics", depth=depth, budget=max_states,
-    )
-    return frozenset(InteractionSequence(s) for s in found)
-
-
-def admits_sequence(
-    pc: PartialConfiguration,
-    seq: InteractionSequence,
-    *,
-    max_states: int = _MAX_STATES,
-) -> bool:
-    """Whether the side can produce exactly these visible steps, in
-    order, with any amount of internal work in between."""
-    want = [s.key() for s in seq if s.visible]
-    done = not want
-    effects: dict = {}
-
-    def successors(node, idx):
-        nonlocal done
-        config, env_left, _idx = node
-        moves, _det = _edges(pc, config, env_left, effects)
-        for step, _am, nxt, env2 in moves:
-            if not step.visible:
-                yield (nxt, env2, idx), idx
-            elif step.key() == want[idx]:
-                done = done or idx + 1 == len(want)
-                yield (nxt, env2, idx + 1), idx + 1
-
-    search(
-        _start(pc) + (0,),
-        lambda n: (_state_key(n[0], n[1]), n[2]),
-        successors,
-        phase="admits", depth=len(want), budget=max_states, stop=lambda: done,
-    )
-    return done
-
-
 # The move table's transitions.  A row is a side state split in parts:
 # its section (the actors and signals), its pending messages, its
 # restriction and its unconsumed feeds.  A section's first row to take an
@@ -587,8 +489,7 @@ def admits_sequence(
 #   `Out`, the restriction and the members.  Actors, signals and members
 #   belong to the section, and an instance's text names its subject in
 #   it.  So the section with the instance's text, and the restriction
-#   ids for `Out`, fix everything the rule reads: the transition key is
-#   finer than `engine._effect_key`;
+#   ids for `Out`, fix everything the rule reads;
 # - on every row of the section the rule then leaves the same actors and
 #   signals (the next section), consumes and produces the same messages,
 #   and keeps or sets the same restriction, which is the transition;
@@ -609,39 +510,51 @@ def _transition_key(inst, rids):
 
 
 class _Section:
-    """The actors and signals that rows of a move table share."""
+    """The actors and signals that rows of a move table share, what they
+    enable, and the transitions their rows have learned.
 
-    __slots__ = ("id", "top", "rules", "steps")
+    When the section's first row expands, its one `enabled_rules` call
+    fills `rules`, the instances the actors and signals enable, sorted,
+    and `fates`, each of that row's pending message texts -> the
+    instances the message enables (none while it is refused).  A later
+    row's message text not met yet is asked of `_message_rules` against
+    `top`: a message's fate reads only the message and the section."""
+
+    __slots__ = ("id", "top", "rules", "fates", "steps")
 
     def __init__(self, sid: int, top: Fragment):
         self.id = sid
         self.top = top  # the first fragment met with these actors and signals
-        self.rules = None  # its `engine.rule_entry`, once a row of it expands
+        self.rules = None
+        self.fates: dict = {}
         # transition key -> (next section id, texts of the messages consumed,
         # (text, message) produced, (restriction, ids) or None to keep)
         self.steps: dict = {}
 
 
 class _MoveTable:
-    """One side's move table for one check.
+    """One side's move table for one search or one check.
 
     Each side state gets a small integer id and a row, keyed by (section
     id, pending message texts, restriction ids, unconsumed feeds): the
-    parts of its `_state_key`.  A row holds its own moves without peer
-    calls, as `_edges` computes them, and the peer calls that arrive at
+    parts of its `Fragment.key()` and its unconsumed feeds.  A row holds
+    its own moves without peer calls, and the peer calls that arrive at
     it, by call text.  A move is (step, the call it sends toward the gate
-    as (text, value) or None, next id).  The solo search fills rows as it
-    expands them; the product and the witness read them and compute only
-    the states the solo search never reached.  Moves come from the
-    sections' transitions and edits of the row's pending messages; a
-    configuration is built only to enumerate a new section or to apply a
-    rule (see README, "How the composability check works")."""
+    as (text, value) or None, next id).  In a check, the solo search
+    fills rows as it expands them; the product and the witness read them
+    and compute only the states the solo search never reached.  Moves
+    come from the sections' transitions and edits of the row's pending
+    messages; a configuration is built only to enumerate a new section or
+    to apply a rule (see README, "How the composability check works").
+    A reduced table takes one ample move alone where `_ample` finds one;
+    an unreduced one always fans out."""
 
-    __slots__ = ("pc", "effects", "ids", "rows", "section_ids", "sections", "calls", "entering")
+    __slots__ = ("pc", "reduced", "ids", "rows", "section_ids", "sections", "calls",
+                 "entering", "feeds")
 
-    def __init__(self, pc: PartialConfiguration, effects: dict):
+    def __init__(self, pc: PartialConfiguration, *, reduced: bool = True):
         self.pc = pc
-        self.effects = effects  # the side's rule effects, shared by its phases
+        self.reduced = reduced
         self.ids: dict = {}
         self.rows: List[_Row] = []
         # (actor texts, signal texts) -> id, an index into `sections`; a
@@ -651,12 +564,18 @@ class _MoveTable:
         # call text -> (text, message) of what a peer call enters as
         self.calls: dict = {}
         self.entering = [self._entering(feed) for feed in pc.env_feeds]
+        # (call text, value) per peer call, as the bags of a product hold them
+        self.feeds = [(canon_value(f.value), f.value) for f in pc.peer_feeds]
 
     def _entering(self, feed: AppMessage) -> Tuple[str, AppMessage]:
         """(text, message) of what `feed` enters the side as, built by the
         In rule."""
         am = rules.boundary_in(self.pc.config, feed).top._step[3][0]
         return am.canon(), am
+
+    def start(self) -> int:
+        """The row of the side's start state, every env feed unconsumed."""
+        return self.id(self.pc.config, frozenset(range(len(self.pc.env_feeds))))
 
     def id(self, config: Configuration, env_left) -> int:
         top = config.top
@@ -693,14 +612,30 @@ class _MoveTable:
 
     def instances(self, i: int):
         """The rule instances row i enables, as `enabled_rules` orders
-        them; a new section's come from `enabled_rules` itself."""
+        them: the section's, and each distinct pending message's fate."""
         row = self.rows[i]
-        sec, program = row.section, self.pc.program
+        sec = row.section
         if sec.rules is None:
-            insts = enabled_rules(program, row.config, cache=self.effects)
-            sec.rules = rule_entry(program, sec.top, self.effects)
+            insts = enabled_rules(self.pc.program, row.config)
+            sec.fates = {text: () for text in row.texts}
+            for inst in insts:
+                if inst.subject.__class__ is AppMessage:
+                    sec.fates[inst.payload] = (inst,)
+            sec.rules = tuple([inst for inst in insts if inst.subject.__class__ is not AppMessage])
             return insts
-        return cached_rules(program, sec.top, sec.rules, row.texts, row.apps)
+        messages = []
+        last = None
+        for text, am in zip(row.texts, row.apps):
+            if text == last:
+                continue  # a copy: sorted texts put copies next to each other
+            last = text
+            fate = sec.fates.get(text)
+            if fate is None:
+                fate = sec.fates[text] = _message_rules(self.pc.program, sec.top, am)
+            messages += fate
+        if not messages:
+            return sec.rules  # sorted when it was stored
+        return tuple(sorted(sec.rules + tuple(messages), key=_ORDER))
 
     def successor(self, i: int, inst) -> int:
         """The row `inst` leads to from row i: replayed from its section's
@@ -711,7 +646,7 @@ class _MoveTable:
         step = sec.steps.get(key)  # None, the create rules' key, is never stored
         if step is not None:
             return self._after(row, *step, row.env_left)
-        nxt = apply_cached(self.pc.program, row.config, inst, self.effects)
+        nxt = next_configuration(self.pc.program, row.config, inst)
         j = self.id(nxt, row.env_left)
         if key is not None:
             _actor, _born, gone, new, restriction = nxt.top._step
@@ -729,7 +664,7 @@ class _MoveTable:
         row = self.rows[i]
         if row.moves is None:
             insts = self.instances(i)
-            ample = _ample(self.pc, row.section.top, insts)
+            ample = _ample(self.pc, row.section.top, insts) if self.reduced else None
             quiet = silent(self.pc.boundary)
             moves = []
             for inst in insts if ample is None else (ample,):
@@ -800,18 +735,27 @@ class _Row:
             self.section.top.with_pending(self.apps, self.texts, self.restriction, self.rids))
 
 
+def _edges(table: _MoveTable, i: int, free_peer: bool):
+    """Moves from row i, as (step, next id): the row's own moves, then,
+    with `free_peer` and unless one ample move stands alone, each peer
+    call `_inject` lets arrive."""
+    moves, ample = table.moves(i)
+    for step, _sent, j in moves:
+        yield step, j
+    if free_peer and not ample:
+        for text, value in table.feeds:
+            arrival = table.arrival(i, text, value)
+            if arrival is not None:
+                yield arrival
+
+
 def _solo_labels(
-    pc: PartialConfiguration, depth: int, table, *, max_states: int = _MAX_STATES
+    pc: PartialConfiguration, depth: int, table: _MoveTable, *, max_states: int = _MAX_STATES
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
     """Visible step keys reachable alone within depth, and states seen.
-    The search runs on the one-copy quotient (see `_one_copy`).
-
-    `table` is the side's move table for this check, which the search
-    fills; a plain dict is taken as the rule effects of a new table."""
-    if not isinstance(table, _MoveTable):
-        table = _MoveTable(pc, table)
+    The search runs on the one-copy quotient (see `_one_copy`) and fills
+    `table`, the side's reduced move table for this check."""
     rows = table.rows
-    feeds = [(canon_value(f.value), f.value) for f in pc.peer_feeds]
     labels: Set[Tuple[str, str]] = set()
 
     def quotient(i: int, j: int) -> int:
@@ -819,29 +763,81 @@ def _solo_labels(
         return j if rows[j].apps is rows[i].apps else table.one_copy(j)
 
     def successors(i, count):
-        moves, ample = table.moves(i)
-        for step, _sent, j in moves:
+        for step, j in _edges(table, i, count < depth):
             if not step.visible:
                 yield quotient(i, j), count
             elif count < depth:
                 labels.add(step.key())
                 yield quotient(i, j), count + 1
-        if ample or count >= depth:
-            return
-        for text, value in feeds:
-            arrival = table.arrival(i, text, value)
-            if arrival is not None:
-                step, j = arrival
-                labels.add(step.key())
-                yield quotient(i, j), count + 1
 
     visits = search(
-        table.one_copy(table.id(*_start(pc))),
+        table.one_copy(table.start()),
         int,  # a row id is its state's key
         successors,
         phase=f"solo {pc.behavior}", depth=depth, budget=max_states,
     )
     return frozenset(labels), visits
+
+
+def interaction_semantics(
+    pc: PartialConfiguration, depth: int, *, max_states: int = _MAX_STATES
+) -> FrozenSet[InteractionSequence]:
+    """All boundary behaviours within the given number of visible steps.
+
+    Peer calls are consumed freely, silent neighbours feed once each.
+    Runs of internal work compress to a single silent marker before the
+    next visible step; a sequence never ends on a marker.  The search
+    runs on an unreduced move table: every interleaving is a sequence.
+    """
+    found: Set[Tuple[InteractionStep, ...]] = {()}
+    table = _MoveTable(pc, reduced=False)
+    marker = silent(pc.boundary)
+
+    def successors(node, visible):
+        i, steps, quiet = node
+        for step, j in _edges(table, i, visible < depth):
+            if not step.visible:
+                yield (j, steps, True), visible
+            elif visible < depth:
+                steps2 = steps + ((marker,) if quiet else ()) + (step,)
+                found.add(steps2)
+                yield (j, steps2, False), visible + 1
+
+    search(
+        (table.start(), (), False), lambda n: n, successors,
+        phase="semantics", depth=depth, budget=max_states,
+    )
+    return frozenset(InteractionSequence(s) for s in found)
+
+
+def admits_sequence(
+    pc: PartialConfiguration,
+    seq: InteractionSequence,
+    *,
+    max_states: int = _MAX_STATES,
+) -> bool:
+    """Whether the side can produce exactly these visible steps, in
+    order, with any amount of internal work in between.  The search runs
+    on a reduced move table, whose ample moves keep every visible
+    behaviour."""
+    want = [s.key() for s in seq if s.visible]
+    done = not want
+    table = _MoveTable(pc)
+
+    def successors(node, idx):
+        nonlocal done
+        for step, j in _edges(table, node[0], True):
+            if not step.visible:
+                yield (j, idx), idx
+            elif step.key() == want[idx]:
+                done = done or idx + 1 == len(want)
+                yield (j, idx + 1), idx + 1
+
+    search(
+        (table.start(), 0), lambda n: n, successors,
+        phase="admits", depth=len(want), budget=max_states, stop=lambda: done,
+    )
+    return done
 
 
 # -- compatibility over the synchronized product --------------------------------
@@ -923,7 +919,7 @@ def _product_key(state) -> Tuple:
 
 
 def _product_start(table_a: _MoveTable, table_m: _MoveTable):
-    return (table_a.id(*_start(table_a.pc)), table_m.id(*_start(table_m.pc)), (), ())
+    return (table_a.start(), table_m.start(), (), ())
 
 
 def _greedy_witness(table_a, table_m, depth, side, missing_step, *, max_states):
@@ -979,9 +975,9 @@ def compatible(
         )
     if depth is None:
         depth = default_depth(pc_a, pc_m)
-    # each side's move table and rule effects serve all its phases in this check
-    table_a = _MoveTable(pc_a, {})
-    table_m = _MoveTable(pc_m, {})
+    # each side's move table serves all its phases in this check
+    table_a = _MoveTable(pc_a)
+    table_m = _MoveTable(pc_m)
     req_a, n_a = _solo_labels(pc_a, depth, table_a, max_states=max_states)
     req_m, n_m = _solo_labels(pc_m, depth, table_m, max_states=max_states)
     got_a: Set[Tuple[str, str]] = set()

@@ -384,9 +384,9 @@ class Fragment:
         in `gone` removed (NoPendingMessage when none is), the `new`
         messages added, and the restriction replaced unless it is "keep".
 
-        The result records these arguments as its `_step`, so
-        `derive(*f._step)` replays the step on another fragment.  With
-        nobody born it inherits the members.  When this fragment's key is
+        The result records these arguments as its `_step`, which a trace
+        line and a move table's transition are read from.  With nobody
+        born it inherits the members.  When this fragment's key is
         built, the result inherits the key sections the step left alone,
         so a run, which builds no key, still builds none."""
         actors, events, apps, rest = self.actors, self.events, self.apps, self.restriction

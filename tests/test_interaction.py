@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abwscl import AddressAllocator, Program, engine, initial_configuration, interaction, rules
-from abwscl.errors import BoundaryMismatch, NoPendingMessage, SilentDivergence, UnknownName
+from abwscl import Program, engine, interaction, rules
+from abwscl.errors import BoundaryMismatch, SilentDivergence, UnknownName
 from abwscl.interaction import (
     BOUNDARIES,
     InteractionSequence,
@@ -262,8 +262,34 @@ def test_benchmark_checks_explore_pinned_state_counts(case, program, benchmark_m
     assert composable(*check_pair(checked, *pair)).explored == want
 
 
+def _reference_edges(pc, config, env_left, *, free_peer=True, reduced=True):
+    """A side's moves from a built configuration, from the rules alone:
+    ((step, ejected message or None, next configuration, next env_left),
+    ...), and whether they are one ample move.  The move tables' rows are
+    compared against it."""
+    insts = engine.enabled_rules(pc.program, config)
+    ample = interaction._ample(pc, config.top, insts) if reduced else None
+    moves = []
+    for inst in insts if ample is None else (ample,):
+        alloc = engine.allocator_for(config) if inst.rule_id in engine._MINTS else None
+        nxt = engine.apply_instance(pc.program, config, inst, alloc)[0]
+        am = inst.subject if inst.rule_id == "Out" else None
+        step = silent(pc.boundary) if am is None else interaction._ejection(pc, am)
+        moves.append((step, am, nxt, env_left))
+    if ample is not None:
+        return moves, True
+    for k in sorted(env_left):
+        nxt = rules.boundary_in(config, pc.env_feeds[k])
+        moves.append((silent(pc.boundary), None, nxt, env_left - {k}))
+    for feed in pc.peer_feeds if free_peer else ():
+        step = interaction._inject(pc, config.top.apps, feed)
+        if step is not None:
+            moves.append((step, None, rules.boundary_in(config, feed), env_left))
+    return moves, False
+
+
 def _consumes(pc, config, env_left):
-    moves, _det = interaction._edges(pc, config, env_left, {}, reduced=False)
+    moves, _ample = _reference_edges(pc, config, env_left, reduced=False)
     return [(step, nxt) for step, _am, nxt, _env in moves if step.shape == "consume-2"]
 
 
@@ -272,16 +298,16 @@ def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
     while a call of the same method still waits at the receiver."""
     sides = check_pair(mini_program, "MiniWSO", "MiniWS", "wso-ws")
     for pc, method in zip(sides, ("ping", "pong")):
-        config, env_left = interaction._start(pc)
+        config, env_left = pc.config, frozenset(range(len(pc.env_feeds)))
         consumes = _consumes(pc, config, env_left)
         assert [step.key() for step, _nxt in consumes] == [("consume-2", method)]
         [(step, after)] = consumes
         assert _consumes(pc, after, env_left) == []
 
-        table = interaction._MoveTable(pc, {})
+        table = interaction._MoveTable(pc)
         call = (canon_value(step.payload), step.payload)
         bag = (call, call)
-        offered = interaction._consume_edges(table, table.id(config, env_left), bag)
+        offered = interaction._consume_edges(table, table.start(), bag)
         assert [(s.key(), rest) for s, rest, _j in offered] == [(("consume-2", method), (call,))]
         arrived = offered[0][2]
         assert table.rows[arrived].config.canon() == after.canon()
@@ -297,10 +323,11 @@ def _table_moves(table, i):
     ]
 
 
-def _fresh_moves(edges, table, i):
-    """The same row's moves computed anew, with empty caches."""
+def _fresh_moves(table, i):
+    """The same row's moves computed anew from its built configuration."""
     pc, row = table.pc, table.rows[i]
-    moves, ample = edges(pc, row.config, row.env_left, {}, free_peer=False)
+    moves, ample = _reference_edges(pc, row.config, row.env_left, free_peer=False,
+                                    reduced=table.reduced)
     return ample, [
         (step.label(),
          (canon_value(am.value), am.value) if am is not None and am.dest == pc.gate else None,
@@ -323,16 +350,15 @@ def test_move_table_matches_fresh_moves(
 ):
     """Every move-table entry the solo search filled and the product and
     the witness read is what its state, built from the row, computes
-    anew with `_edges`; and no side state's moves are computed twice in
-    one check."""
+    anew with `_reference_edges`; and no side state's moves are computed
+    twice in one check."""
     program, pair = {
         "dropped sendPB": (mutant_program, ("BookStoreWSO", "BookStoreWS", "wso-ws")),
         "mini": (mini_program, ("MiniWSO", "MiniWS", "wso-ws")),
         "ws-ws requestLB": (request_lb_mutant_program, ("UserAgentWS", "BookStoreWS", "ws-ws")),
     }[case]
-    edges, ample, solo_labels, product_edges = (
-        interaction._edges, interaction._ample, interaction._solo_labels,
-        interaction._product_edges)
+    ample, solo_labels, product_edges = (
+        interaction._ample, interaction._solo_labels, interaction._product_edges)
     computed = []  # one side per computation of a row's own moves
     after_solo = {}  # table -> rows whose moves the solo search computed
     expanded = []  # (table A, table M, product state) per product expansion
@@ -359,7 +385,7 @@ def test_move_table_matches_fresh_moves(
     filled = [(table, i) for table in after_solo
               for i, row in enumerate(table.rows) if row.moves is not None]
     assert len(computed) == len(filled)
-    states = {(table, interaction._state_key(table.rows[i].config, table.rows[i].env_left))
+    states = {(table, table.rows[i].config.top.key(), table.rows[i].env_left)
               for table, i in filled}
     assert len(states) == len(filled)
 
@@ -375,14 +401,19 @@ def test_move_table_matches_fresh_moves(
     solo_filled = {(table, i) for table, rows in after_solo.items() for i in rows}
     assert read & solo_filled
     for table, i in read | solo_filled:
-        assert _table_moves(table, i) == _fresh_moves(edges, table, i)
+        assert _table_moves(table, i) == _fresh_moves(table, i)
     assert arrivals
     for table, i, text in arrivals:
-        held = table.rows[i].arrivals[text]
-        if held is not None:
-            step, j = held
-            held = (step.label(), table.rows[j].config.canon())
-        assert held == _fresh_arrival(table, i, text)
+        _check_arrival(table, i, text)
+
+
+def _check_arrival(table, i, text):
+    """The row's held arrival of this peer call is the one computed anew."""
+    held = table.rows[i].arrivals[text]
+    if held is not None:
+        step, j = held
+        held = (step.label(), table.rows[j].config.canon())
+    assert held == _fresh_arrival(table, i, text)
 
 
 # The orchestration sends its interface service the address of its
@@ -442,13 +473,13 @@ def _watch_successors(monkeypatch):
     """Check every successor a move table replays from a section's
     transition against the rule applied afresh to the row's state, and
     record each successor as (table, row, instance, next row, replayed)."""
-    cached, successor = interaction.apply_cached, interaction._MoveTable.successor
+    apply, successor = interaction.next_configuration, interaction._MoveTable.successor
     applied = []
     records = []
 
     def counting(*args):
         applied.append(args[2])
-        return cached(*args)
+        return apply(*args)
 
     def checked(table, i, inst):
         before = len(applied)
@@ -465,7 +496,7 @@ def _watch_successors(monkeypatch):
         records.append((table, i, inst, j, replayed))
         return j
 
-    monkeypatch.setattr(interaction, "apply_cached", counting)
+    monkeypatch.setattr(interaction, "next_configuration", counting)
     monkeypatch.setattr(interaction._MoveTable, "successor", checked)
     return records
 
@@ -473,88 +504,45 @@ def _watch_successors(monkeypatch):
 def test_cached_successors_match_fresh_rule_applications(
     monkeypatch, program, mutant_program, mini_program
 ):
-    """Every successor a check replays from a recorded step, a rule
-    effect or a section's transition, is the one the rule builds afresh,
-    and a consumed subject is not consumed twice.  Deliveries,
-    partnerings and ejections that publish names replay too."""
-    cached = engine.apply_cached
-    tally = {"hits": 0, "stale hits": 0}
-    replayed = set()
-
-    def checked(prog, config, inst, effects):
-        fresh = engine.apply_instance(prog, config, inst, engine.allocator_for(config))[0]
-        hit = engine._effect_key(config.top, inst) in effects
-        got = cached(prog, config, inst, effects)
-        assert got.top.key() == fresh.top.key()
-        assert got.canon() == fresh.canon()
-        assert members(got.top) == members(fresh.top)
-        tally["hits"] += hit
-        if hit:
-            publishes = got.top.restriction != config.top.restriction
-            replayed.add(inst.rule_id + (" publishing" if publishes else ""))
-        pending = got.top.events + got.top.apps
-        if inst.rule_id in ("Out", "Compute", "ReadyDeliver") and inst.subject not in pending:
-            tally["stale hits"] += engine._effect_key(got.top, inst) in effects
-            with pytest.raises(NoPendingMessage):
-                cached(prog, got, inst, effects)
-        return got
-
-    monkeypatch.setattr(interaction, "apply_cached", checked)
-    monkeypatch.setattr(engine, "apply_cached", checked)
+    """Every successor a check replays from a section's transition is the
+    one the rule builds afresh (checked by `_watch_successors`); every
+    check replays some, and deliveries and ejections that publish names
+    replay too."""
     records = _watch_successors(monkeypatch)
-
-    def transitions():
-        # the move tables' replays, as `checked` names effect hits
-        for table, i, inst, j, again in records:
-            if again:
-                tally["hits"] += 1
-                publishes = table.rows[j].restriction != table.rows[i].restriction
-                replayed.add(inst.rule_id + (" publishing" if publishes else ""))
-        del records[:]
-
+    replayed = set()
     for prog, pair, boundary in [
         (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
         (mutant_program, ("BookStoreWSO", "BookStoreWS"), "wso-ws"),
         (program, ("UserAgentWS", "BookStoreWS"), "ws-ws"),
+        (Program.parse(PUBLISH_SOURCE), ("PublishWSO", "PublishWS"), "wso-ws"),
     ]:
-        tally.update(hits=0, **{"stale hits": 0})
         composable(*check_pair(prog, *pair, boundary))
-        transitions()
-        assert tally["hits"] > 0 and tally["stale hits"] > 0, (pair, tally)
-    composable(*check_pair(Program.parse(PUBLISH_SOURCE), "PublishWSO", "PublishWS", "wso-ws"))
-    transitions()
-    # a closed choreography, whose services are partnered by setPartner calls
-    engine.explore(mini_program, initial_configuration(mini_program, "MiniWSC", AddressAllocator()), 8)
-    assert {"ReadyDeliver", "SetPartner", "Out publishing"} <= replayed, replayed
+        again = [(table, i, inst, j) for table, i, inst, j, r in records if r]
+        assert again, pair
+        for table, i, inst, j in again:
+            publishes = table.rows[j].restriction != table.rows[i].restriction
+            replayed.add(inst.rule_id + (" publishing" if publishes else ""))
+        del records[:]
+    assert {"ReadyDeliver", "Out publishing"} <= replayed, replayed
 
 
 def test_cached_enabled_rules_match_fresh_enumeration(
     monkeypatch, program, mutant_program, mini_program
 ):
-    """At every state a search expands, the instances read from its rule
-    cache, or from a move table's section, are the ones a fresh
-    enumeration finds: the same subjects, in the same order, with one
-    instance per distinct pending message."""
-    enabled, instances = engine.enabled_rules, interaction._MoveTable.instances
+    """At every row a check's move tables expand, the instances read from
+    its section are the ones a fresh enumeration finds: the same
+    subjects, in the same order, with one instance per distinct pending
+    message."""
+    instances = interaction._MoveTable.instances
     seen = {"states": 0, "rules": set()}
-
-    def checked(prog, config, feeds=(), cache=None):
-        got = enabled(prog, config, feeds, cache)
-        if cache is not None:
-            assert got == enabled(prog, config, feeds)
-            seen["states"] += 1
-            seen["rules"].update(inst.rule_id for inst in got)
-        return got
 
     def table_checked(table, i):
         got = instances(table, i)
-        assert got == enabled(table.pc.program, table.rows[i].config)
+        assert got == engine.enabled_rules(table.pc.program, table.rows[i].config)
         seen["states"] += 1
         seen["rules"].update(inst.rule_id for inst in got)
         return got
 
-    monkeypatch.setattr(engine, "enabled_rules", checked)
-    monkeypatch.setattr(interaction, "enabled_rules", checked)
     monkeypatch.setattr(interaction._MoveTable, "instances", table_checked)
     for prog, pair, boundary in [
         (program, ("UserAgentWS", "BookStoreWS"), "ws-ws"),
@@ -564,14 +552,8 @@ def test_cached_enabled_rules_match_fresh_enumeration(
         (mini_program, ("MiniWSO", "MiniWS"), "wso-ws"),
     ]:
         composable(*check_pair(prog, *pair, boundary))
-    side = wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
-    engine.explore(program, side.config, 5, feeds=side.peer_feeds)
-    # a closed choreography, where calls wait for a busy destination
-    whole = initial_configuration(mini_program, "MiniWSC", AddressAllocator())
-    engine.explore(mini_program, whole, 8)
     assert seen["states"] > 6000
-    assert {"Request", "CreateAA", "CreateWSs", "Compute", "SendOut", "ReadyDeliver",
-            "SetPartner", "Out", "In"} <= seen["rules"]
+    assert {"Request", "CreateAA", "Compute", "SendOut", "ReadyDeliver", "Out"} <= seen["rules"]
 
 
 # The orchestration hands its activity `work`, two `tick` calls and a
@@ -648,7 +630,7 @@ def test_reduced_solo_search_keeps_equal_pending_copies():
     program = Program.parse(COUNT_SOURCE)
     assert program.validate() == ()
     pc = wso_side(program, "CountWSO")
-    table = interaction._MoveTable(pc, {})
+    table = interaction._MoveTable(pc)
     labels, _states = interaction._solo_labels(pc, 1, table)
     reached = []
     for row in table.rows:
@@ -747,7 +729,7 @@ def test_one_copy_quotient_keeps_solo_labels(
         depth = default_depth(pc_a, pc_m)
         sides += [(pc_a, depth), (pc_m, depth)]
 
-    tables = [interaction._MoveTable(pc, {}) for pc, _depth in sides]
+    tables = [interaction._MoveTable(pc) for pc, _depth in sides]
     quotiented = [interaction._solo_labels(pc, depth, table)
                   for (pc, depth), table in zip(sides, tables)]
     copies = [am for table in tables if table.pc.behavior == "UserAgentWSO"
@@ -755,7 +737,8 @@ def test_one_copy_quotient_keeps_solo_labels(
               for am in _outbound_copies(row.config)]
     assert copies == []
     monkeypatch.setattr(interaction, "_one_copy", lambda apps, texts, mem: (apps, texts))
-    exact = [interaction._solo_labels(pc, depth, {}) for pc, depth in sides]
+    exact = [interaction._solo_labels(pc, depth, interaction._MoveTable(pc))
+             for pc, depth in sides]
     for (pc, _depth), (labels, states), (want, exact_states) in zip(sides, quotiented, exact):
         assert labels == want, pc.behavior
         assert states <= exact_states, pc.behavior
@@ -807,18 +790,97 @@ def test_sequences_count_equal_outbound_copies():
     assert (("emit-2", "ping"),) * 2 in visible
 
 
+def _reference_semantics(pc, depth, moves):
+    """`interaction_semantics` by a plain walk over `_reference_edges`,
+    unreduced.  `moves` keeps each state's moves by (key, env_left)."""
+    marker = silent(pc.boundary)
+    found, seen = {()}, set()
+    todo = [(pc.config, frozenset(range(len(pc.env_feeds))), (), False, 0)]
+    while todo:
+        config, env_left, steps, quiet, visible = todo.pop()
+        state = (config.top.key(), env_left)
+        if (state, steps, quiet) in seen:
+            continue
+        seen.add((state, steps, quiet))
+        if state not in moves:
+            moves[state] = _reference_edges(pc, config, env_left, reduced=False)[0]
+        for step, _am, nxt, env2 in moves[state]:
+            if not step.visible:
+                todo.append((nxt, env2, steps, True, visible))
+            elif visible < depth:
+                steps2 = steps + ((marker,) if quiet else ()) + (step,)
+                found.add(steps2)
+                todo.append((nxt, env2, steps2, False, visible + 1))
+    return frozenset(InteractionSequence(s) for s in found)
+
+
+@pytest.mark.parametrize("case, depths", [
+    ("PairWSO", (2, 3)), ("MiniWSO", (2, 3, 4, 5, 6)), ("CountWSO", (1, 2, 3)),
+    ("CountWS", (2, 3)), ("PublishWSO", (2, 3)), ("PublishWS", (2, 3)),
+])
+def test_table_searches_match_a_reference_search(case, depths, monkeypatch, mini_program):
+    """`interaction_semantics`, on an unreduced move table, finds the
+    sequences a plain search over `_reference_edges` finds; `admits_sequence`,
+    on a reduced one, admits their visible steps and refuses every other
+    one-step extension of them within the depth; and every row either
+    table filled is its state's moves computed anew."""
+    pc = {
+        "PairWSO": lambda: wso_side(Program.parse(PAIR_SOURCE), "PairWSO", ws_name="GateWS"),
+        "MiniWSO": lambda: wso_side(mini_program, "MiniWSO", ws_name="MiniWS"),
+        "CountWSO": lambda: wso_side(Program.parse(COUNT_SOURCE), "CountWSO"),
+        "CountWS": lambda: ws_side(Program.parse(COUNT_SOURCE), "CountWS", facing="wso"),
+        "PublishWSO": lambda: wso_side(Program.parse(PUBLISH_SOURCE), "PublishWSO"),
+        "PublishWS": lambda: ws_side(Program.parse(PUBLISH_SOURCE), "PublishWS", facing="wso"),
+    }[case]()
+    tables = _record_tables(monkeypatch)
+    moves = {}
+    for depth in depths:
+        want = _reference_semantics(pc, depth, moves)
+        assert interaction_semantics(pc, depth) == want
+        keys = {tuple(step.key() for step in seq if step.visible) for seq in want}
+        alphabet = {key for seq in keys for key in seq}
+        probes = keys | {seq + (key,) for seq in keys if len(seq) < depth for key in alphabet}
+        for seq in probes:
+            steps = tuple(InteractionStep(boundary=pc.boundary, shape=shape, outer=pc.peer,
+                                          inner=pc.anchor, payload=call_record(method, ()))
+                          for shape, method in seq)
+            assert admits_sequence(pc, InteractionSequence(steps)) == (seq in keys), seq
+    assert {table.reduced for table in tables} == {False, True}
+    for table in tables:
+        if table.reduced:
+            for i, row in enumerate(table.rows):
+                if row.moves is not None:
+                    assert _table_moves(table, i) == _fresh_moves(table, i)
+                for text in row.arrivals or ():
+                    _check_arrival(table, i, text)
+            continue
+        # an unreduced row's moves and arrivals are the reference walk's
+        edges = {i: list(interaction._edges(table, i, True))
+                 for i, row in enumerate(table.rows) if row.moves is not None}
+        states = [(row.config.top.key(), row.env_left) for row in table.rows]
+        for i, got in edges.items():
+            assert [(step, states[j]) for step, j in got] == [
+                (step, (nxt.top.key(), env2)) for step, _am, nxt, env2 in moves[states[i]]]
+
+
+def _record_tables(monkeypatch):
+    """The move tables made from here on, in order."""
+    tables = []
+    init = interaction._MoveTable.__init__
+
+    def recording(table, pc, **kw):
+        init(table, pc, **kw)
+        tables.append(table)
+
+    monkeypatch.setattr(interaction._MoveTable, "__init__", recording)
+    return tables
+
+
 def test_state_keys_agree_with_canon_text(monkeypatch, program):
     """Over every row a ws-ws check keys, solo and product, two rows share
     a key exactly when the configurations built from them share their
     text, and a built configuration's key is the one its terms give."""
-    tables = []
-    init = interaction._MoveTable.__init__
-
-    def recording(table, pc, effects):
-        init(table, pc, effects)
-        tables.append(table)
-
-    monkeypatch.setattr(interaction._MoveTable, "__init__", recording)
+    tables = _record_tables(monkeypatch)
     composable(*check_pair(program, "UserAgentWS", "BookStoreWS", "ws-ws"))
     seen = set()
     for n, table in enumerate(tables):
