@@ -513,12 +513,12 @@ class _Section:
     """The actors and signals that rows of a move table share, what they
     enable, and the transitions their rows have learned.
 
-    When the section's first row expands, its one `enabled_rules` call
-    fills `rules`, the instances the actors and signals enable, sorted,
-    and `fates`, each of that row's pending message texts -> the
-    instances the message enables (none while it is refused).  A later
-    row's message text not met yet is asked of `_message_rules` against
-    `top`: a message's fate reads only the message and the section."""
+    When a row of the section first expands, one `enabled_rules` call on
+    `top` fills `rules`, the instances the actors and signals enable,
+    sorted, and `fates`, each of `top`'s pending message texts -> the
+    instances the message enables (none while it is refused).  A row's
+    message text not met yet is asked of `_message_rules` against `top`:
+    a message's fate reads only the message and the section."""
 
     __slots__ = ("id", "top", "rules", "fates", "steps")
 
@@ -535,17 +535,17 @@ class _Section:
 class _MoveTable:
     """One side's move table for one search or one check.
 
-    Each side state gets a small integer id and a row, keyed by (section
-    id, pending message texts, restriction ids, unconsumed feeds): the
-    parts of its `Fragment.key()` and its unconsumed feeds.  A row holds
+    Each side state gets a small integer id and a row, keyed by its parts
+    (section id, pending message texts, restriction ids, unconsumed
+    feeds); every step lands on its row by an edit of them.  A row holds
     its own moves without peer calls, and the peer calls that arrive at
     it, by call text.  A move is (step, the call it sends toward the gate
     as (text, value) or None, next id).  In a check, the solo search
     fills rows as it expands them; the product and the witness read them
     and compute only the states the solo search never reached.  Moves
     come from the sections' transitions and edits of the row's pending
-    messages; a configuration is built only to enumerate a new section or
-    to apply a rule (see README, "How the composability check works").
+    messages; a configuration is built only to apply a rule (see README,
+    "How the composability check works").
     A reduced table takes one ample move alone where `_ample` finds one;
     an unreduced one always fans out."""
 
@@ -575,24 +575,26 @@ class _MoveTable:
 
     def start(self) -> int:
         """The row of the side's start state, every env feed unconsumed."""
-        return self.id(self.pc.config, frozenset(range(len(self.pc.env_feeds))))
+        top = self.pc.config.top
+        rids, _actors, _events, texts = top.key()
+        return self._row(self._section(top), top.apps, texts, top.restriction, rids,
+                         frozenset(range(len(self.pc.env_feeds))))
 
-    def id(self, config: Configuration, env_left) -> int:
-        top = config.top
-        key = top.key()
-        sid = self.section_ids.get(key[1:3])
+    def _section(self, top: Fragment) -> int:
+        """The id of the section holding `top`'s actors and signals."""
+        parts = top.key()[1:3]
+        sid = self.section_ids.get(parts)
         if sid is None:
-            sid = self.section_ids[key[1:3]] = len(self.sections)
+            sid = self.section_ids[parts] = len(self.sections)
             self.sections.append(_Section(sid, top))
-        return self._row(self.sections[sid], top.apps, key[3], top.restriction, key[0],
-                         env_left)
+        return sid
 
-    def _row(self, sec: _Section, apps, texts, restriction, rids, env_left) -> int:
-        key = (sec.id, texts, rids, env_left)
+    def _row(self, sid: int, apps, texts, restriction, rids, env_left) -> int:
+        key = (sid, texts, rids, env_left)
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.rows)
-            self.rows.append(_Row(sec, apps, texts, restriction, rids, env_left))
+            self.rows.append(_Row(self.sections[sid], apps, texts, restriction, rids, env_left))
         return i
 
     def _after(self, row: "_Row", sid: int, gone, new, rest, env_left) -> int:
@@ -608,7 +610,7 @@ class _MoveTable:
             k = bisect_right(texts, text)
             apps, texts = apps[:k] + (am,) + apps[k:], texts[:k] + (text,) + texts[k:]
         restriction, rids = (row.restriction, row.rids) if rest is None else rest
-        return self._row(self.sections[sid], apps, texts, restriction, rids, env_left)
+        return self._row(sid, apps, texts, restriction, rids, env_left)
 
     def instances(self, i: int):
         """The rule instances row i enables, as `enabled_rules` orders
@@ -616,13 +618,12 @@ class _MoveTable:
         row = self.rows[i]
         sec = row.section
         if sec.rules is None:
-            insts = enabled_rules(self.pc.program, row.config)
-            sec.fates = {text: () for text in row.texts}
+            insts = enabled_rules(self.pc.program, Configuration(sec.top))
+            sec.fates = dict.fromkeys(sec.top.key()[3], ())
             for inst in insts:
                 if inst.subject.__class__ is AppMessage:
                     sec.fates[inst.payload] = (inst,)
             sec.rules = tuple([inst for inst in insts if inst.subject.__class__ is not AppMessage])
-            return insts
         messages = []
         last = None
         for text, am in zip(row.texts, row.apps):
@@ -638,26 +639,24 @@ class _MoveTable:
         return tuple(sorted(sec.rules + tuple(messages), key=_ORDER))
 
     def successor(self, i: int, inst) -> int:
-        """The row `inst` leads to from row i: replayed from its section's
-        transition, or applied to the row's configuration and learned."""
+        """The row `inst` leads to from row i by its section's transition,
+        learned on a miss from the rule applied to the row's configuration."""
         row = self.rows[i]
         sec = row.section
         key = _transition_key(inst, row.rids)
         step = sec.steps.get(key)  # None, the create rules' key, is never stored
-        if step is not None:
-            return self._after(row, *step, row.env_left)
-        nxt = next_configuration(self.pc.program, row.config, inst)
-        j = self.id(nxt, row.env_left)
-        if key is not None:
-            _actor, _born, gone, new, restriction = nxt.top._step
-            to = self.rows[j]
-            sec.steps[key] = (
-                to.section.id,
+        if step is None:
+            top = next_configuration(self.pc.program, row.config, inst).top
+            _actor, _born, gone, new, restriction = top._step
+            step = (
+                self._section(top),
                 tuple([m.canon() for m in gone if m.__class__ is AppMessage]),
                 tuple([(m.canon(), m) for m in new if m.__class__ is AppMessage]),
-                None if restriction == "keep" else (to.restriction, to.rids),
+                None if restriction == "keep" else (top.restriction, top.key()[0]),
             )
-        return j
+            if key is not None:
+                sec.steps[key] = step
+        return self._after(row, *step, row.env_left)
 
     def moves(self, i: int):
         """The row's own moves, and whether they are one ample move alone."""
@@ -707,7 +706,7 @@ class _MoveTable:
         apps, texts = _one_copy(row.apps, row.texts, members(row.section.top))
         if apps is row.apps:
             return i
-        return self._row(row.section, apps, texts, row.restriction, row.rids, row.env_left)
+        return self._row(row.section.id, apps, texts, row.restriction, row.rids, row.env_left)
 
 
 class _Row:
@@ -730,9 +729,9 @@ class _Row:
 
     @property
     def config(self) -> Configuration:
-        """The state's configuration, built anew."""
-        return Configuration(
-            self.section.top.with_pending(self.apps, self.texts, self.restriction, self.rids))
+        """The state's configuration, built anew from its parts."""
+        top = self.section.top
+        return Configuration(Fragment(top.actors, top.events, self.apps, self.restriction))
 
 
 def _edges(table: _MoveTable, i: int, free_peer: bool):

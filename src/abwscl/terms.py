@@ -385,12 +385,9 @@ class Fragment:
         messages added, and the restriction replaced unless it is "keep".
 
         The result records these arguments as its `_step`, which a trace
-        line and a move table's transition are read from.  With nobody
-        born it inherits the members.  When this fragment's key is
-        built, the result inherits the key sections the step left alone,
-        so a run, which builds no key, still builds none."""
+        line and a move table's transition are read from.  It builds no
+        memo: a key or a member set is built when something asks."""
         actors, events, apps, rest = self.actors, self.events, self.apps, self.restriction
-        key = self.__dict__.get("_key")
         if actor is not None:
             addr = actor.addr
             # equal addresses share their id; comparing it first is cheap
@@ -416,40 +413,11 @@ class Fragment:
                 apps = tuple(sorted(apps + new_apps, key=_CANON))
         if restriction != "keep":
             rest = None if restriction is None else frozenset(restriction)
-        # the fields and memos at once: a step builds this many fragments
-        # that the dataclass's own field-by-field __init__ shows in profiles
+        # the fields at once: a step builds this many fragments that the
+        # dataclass's own field-by-field __init__ shows in profiles
         f = object.__new__(Fragment)
-        memo = {"actors": actors, "events": events, "apps": apps, "restriction": rest,
-                "_step": (actor, born, gone, new, restriction)}
-        if key is not None:
-            rids, texts, event_texts, app_texts = key
-            if born:
-                texts = tuple([a.canon() for a in actors])
-            elif actor is not None:
-                texts = texts[:i] + (actor.canon(),) + texts[i + 1:]
-            if events is not self.events:
-                event_texts = tuple(map(_CANON, events))
-            if apps is not self.apps:
-                app_texts = tuple(map(_CANON, apps))
-            if restriction != "keep":
-                rids = None if rest is None else tuple(sorted([a.id for a in rest]))
-            memo["_key"] = (rids, texts, event_texts, app_texts)
-        if not born:
-            memo["_members"] = members(self)
-        f.__dict__.update(memo)
-        return f
-
-    def with_pending(self, apps, app_texts, restriction, rids) -> "Fragment":
-        """This fragment's actors and signals with other pending messages
-        and restriction.  `apps` is sorted by text; `app_texts` and `rids`
-        are the new key's message and restriction sections, so the key is
-        spliced from parts, as `derive` splices it."""
-        key = self.key()
-        f = object.__new__(Fragment)
-        f.__dict__.update({"actors": self.actors, "events": self.events, "apps": apps,
-                           "restriction": restriction,
-                           "_key": (rids, key[1], key[2], app_texts),
-                           "_members": members(self)})
+        f.__dict__.update({"actors": actors, "events": events, "apps": apps, "restriction": rest,
+                           "_step": (actor, born, gone, new, restriction)})
         return f
 
     def key(self) -> tuple:

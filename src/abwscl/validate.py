@@ -92,7 +92,7 @@ def _check_definition(
         names = _local_names(d, m)
         for a in m.body:
             diags.extend(_check_action(d, m, a, names, by_name))
-        if _never_boolean(d, m):
+        if _never_boolean(d, m, m.guard):
             diags.append(_diag(m, "GuardNotBoolean",
                                f"guard of {d.name}.{m.name} is not boolean: "
                                f"{ast.pp_expr(m.guard)}"))
@@ -117,20 +117,21 @@ def _declared_type(d: ast.BehaviorDefinition, m: ast.MethodDefinition, name: str
 _ARITHMETIC = frozenset(op for ops, _ in ast.BINARY_LEVELS[3:] for op in ops)
 
 
-def _never_boolean(d: ast.BehaviorDefinition, m: ast.MethodDefinition) -> bool:
-    """Whether the method's guard provably yields something other than a bool: a
-    literal that is not one, a name declared with another type, `self`,
-    a list or record, negation or arithmetic.  Comparisons, `&&`, `||`
-    and `!` may yield a bool."""
-    e = m.guard
+def _never_boolean(d: ast.BehaviorDefinition, m: ast.MethodDefinition, e: ast.Expr) -> bool:
+    """Whether the guard expression `e` can never evaluate to a bool.  It
+    yields something else when it is a literal that is not one, a name
+    declared with another type, `self`, a list or record, negation or
+    arithmetic; evaluation rejects `!` of such an operand, and `&&` or
+    `||` with one on the left.  Comparisons may yield a bool, and so may
+    `&&` and `||` whatever their right operand, which is read as `is True`."""
     if isinstance(e, ast.Lit):
         return not isinstance(e.value, bool)
     if isinstance(e, ast.Name):
         return _declared_type(d, m, e.ident) not in (None, "bool")
     if isinstance(e, ast.Binary):
-        return e.op in _ARITHMETIC
+        return e.op in _ARITHMETIC or (e.op in ("&&", "||") and _never_boolean(d, m, e.left))
     if isinstance(e, ast.Unary):
-        return e.op == "-"
+        return e.op == "-" or _never_boolean(d, m, e.operand)
     return isinstance(e, (ast.SelfRef, ast.ListExpr, ast.RecordExpr))
 
 

@@ -470,9 +470,10 @@ WS PublishWS {
 
 
 def _watch_successors(monkeypatch):
-    """Check every successor a move table replays from a section's
-    transition against the rule applied afresh to the row's state, and
-    record each successor as (table, row, instance, next row, replayed)."""
+    """Check every successor a move table gives, replayed from a
+    section's transition or landed after applying the rule, against the
+    rule applied afresh to the row's state, and record each successor as
+    (table, row, instance, next row, replayed)."""
     apply, successor = interaction.next_configuration, interaction._MoveTable.successor
     applied = []
     records = []
@@ -484,16 +485,14 @@ def _watch_successors(monkeypatch):
     def checked(table, i, inst):
         before = len(applied)
         j = successor(table, i, inst)
-        replayed = len(applied) == before
-        if replayed:
-            config = table.rows[i].config
-            fresh = engine.apply_instance(
-                table.pc.program, config, inst, engine.allocator_for(config))[0]
-            got = table.rows[j].config
-            assert got.top.key() == fresh.top.key()
-            assert got.canon() == fresh.canon()
-            assert members(got.top) == members(fresh.top)
-        records.append((table, i, inst, j, replayed))
+        config = table.rows[i].config
+        fresh = engine.apply_instance(
+            table.pc.program, config, inst, engine.allocator_for(config))[0]
+        got = table.rows[j].config
+        assert got.top.key() == fresh.top.key()
+        assert got.canon() == fresh.canon()
+        assert members(got.top) == members(fresh.top)
+        records.append((table, i, inst, j, len(applied) == before))
         return j
 
     monkeypatch.setattr(interaction, "next_configuration", counting)
@@ -647,6 +646,32 @@ def test_reduced_solo_search_keeps_equal_pending_copies():
     exact = interaction_semantics(pc, 1)
     assert labels == {step.key() for seq in exact for step in seq if step.visible}
     assert labels == {("emit-2", "done")}
+
+
+def test_each_transition_is_applied_once(monkeypatch, program, request_lb_mutant_program):
+    """Over the corpus checks and the dropped-`requestLB` ws-ws check, a
+    move table applies a rule other than a create rule exactly once per
+    transition its sections store, and every successor, applied or
+    replayed, is the one the rule builds afresh (`_watch_successors`)."""
+    apply = interaction.next_configuration
+    applied = []
+
+    def counting(*args):
+        applied.append(args[2])
+        return apply(*args)
+
+    monkeypatch.setattr(interaction, "next_configuration", counting)
+    tables = _record_tables(monkeypatch)
+    records = _watch_successors(monkeypatch)
+    checks = [(program, pair) for pair in CORPUS_PAIRS]
+    checks.append((request_lb_mutant_program, ("UserAgentWS", "BookStoreWS", "ws-ws")))
+    for prog, pair in checks:
+        composable(*check_pair(prog, *pair))
+        stored = sum(len(sec.steps) for table in tables for sec in table.sections)
+        creates = [inst for inst in applied if inst.rule_id in engine._MINTS]
+        assert stored > 0 and records, pair
+        assert len(applied) - len(creates) == stored, pair
+        del tables[:], applied[:], records[:]
 
 
 @pytest.mark.parametrize("case", ["publish", "count", "pair", "mini", "dropped sendPB",

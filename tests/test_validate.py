@@ -94,11 +94,11 @@ def test_guards_that_are_never_boolean():
     assert [d.code for d in diags] == ["GuardNotBoolean"]
     assert "GuardedWSO.maybe" in diags[0].message
     for guard in ("3", '"yes"', "n", "k", "ws-ref", "self", "[1]", "-n", "n + 1",
-                  "k * 2", "(n - k)", "n / 2"):
+                  "k * 2", "(n - k)", "n / 2", "!n", "n && ok", "k || b"):
         assert codes(_guarded(guard)) == ["GuardNotBoolean"], guard
 
 
 def test_guards_that_may_be_boolean():
     for guard in ("true", "false", "ok", "b", "n > 0", "k == n", "n != 1",
-                  "ok && b", "ok || n < 2", "!ok", "!n", "ghost"):
+                  "ok && b", "ok || n < 2", "!ok", "ghost"):
         assert codes(_guarded(guard)) == [], guard
