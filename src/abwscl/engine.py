@@ -33,6 +33,8 @@ from .terms import (
 
 
 _CROSSING = {"Out": "out", "In": "in"}
+# states one search may expand before giving up on termination
+_MAX_STATES = 200_000
 # the text fields only: subjects have no order
 _ORDER = itemgetter(0, 1, 2)
 
@@ -273,40 +275,38 @@ class FairRoundRobin:
 # -- search --------------------------------------------------------------------
 
 
-def search(start, key, successors, *, phase, depth, budget=None, lifo=False, stop=None):
+def search(start, successors, *, phase, depth, lifo=False, stop=None):
     """Best-first walk over a graph whose edges cost 0 or 1.
 
     successors(node, cost) yields (next node, its cost) for every edge
     within the caller's depth bound, recording whatever the caller needs.
-    A node is pushed only when its key is new or reached more cheaply,
-    and a popped node that has been reached more cheaply since is
-    skipped.  FIFO order is 0-1 breadth-first (zero-cost moves go to the
-    front); LIFO order is depth-first.  The walk ends when the frontier
-    is empty or stop() holds.  Returns the number of nodes expanded;
-    expanding more than `budget` raises SilentDivergence.
+    A node is its own key: it is pushed only when it is new or reached
+    more cheaply, and a popped node that has been reached more cheaply
+    since is skipped.  FIFO order is 0-1 breadth-first (zero-cost moves
+    go to the front); LIFO order is depth-first.  The walk ends when the
+    frontier is empty or stop() holds.  Returns the number of nodes
+    expanded; expanding more than `_MAX_STATES` raises SilentDivergence.
     """
-    k0 = key(start)
-    best = {k0: 0}
-    frontier = deque([(start, 0, k0)])
+    best = {start: 0}
+    frontier = deque([(start, 0)])
     expanded = 0
     while frontier and not (stop is not None and stop()):
-        node, cost, k = frontier.pop() if lifo else frontier.popleft()
-        if best[k] < cost:
+        node, cost = frontier.pop() if lifo else frontier.popleft()
+        if best[node] < cost:
             continue
         expanded += 1
-        if budget is not None and expanded > budget:
+        if expanded > _MAX_STATES:
             raise SilentDivergence(
-                f"{phase}: more than {budget} states within depth {depth}"
+                f"{phase}: more than {_MAX_STATES} states within depth {depth}"
             )
         for nxt, c2 in successors(node, cost):
-            k2 = key(nxt)
-            if best.get(k2, c2 + 1) <= c2:
+            if best.get(nxt, c2 + 1) <= c2:
                 continue
-            best[k2] = c2
+            best[nxt] = c2
             if lifo or c2 != cost:
-                frontier.append((nxt, c2, k2))
+                frontier.append((nxt, c2))
             else:
-                frontier.appendleft((nxt, c2, k2))
+                frontier.appendleft((nxt, c2))
     return expanded
 
 
@@ -316,20 +316,19 @@ def search(start, key, successors, *, phase, depth, budget=None, lifo=False, sto
 def run(
     program: Program,
     config: Configuration,
-    sched=None,
     max_steps: int = 1000,
     *,
     seed: int = 0,
     feeds: Sequence[AppMessage] = (),
     alloc: Optional[AddressAllocator] = None,
 ) -> Trace:
-    """Drive a configuration until quiescence or the step limit.
+    """Drive a configuration under `FairRoundRobin(seed)` until
+    quiescence or the step limit.
 
     A create step mints from `alloc`, by default `allocator_for(config)`,
     which equals the allocator that minted the configuration's addresses.
     """
-    if sched is None:
-        sched = FairRoundRobin(seed)
+    sched = FairRoundRobin(seed)
     if alloc is None:
         alloc = allocator_for(config)
     remaining = tuple(feeds)
@@ -363,27 +362,35 @@ def explore(
     The label set is prefix-closed: every visited path contributes the
     boundary crossings seen so far.  Every state enumerates and applies
     its rules afresh, as a run does, and a create step mints the
-    addresses a run through the same steps would.
+    addresses a run through the same steps would.  A node is (fragment
+    key, unconsumed feed texts, labels); a key or a text maps back to
+    the first configuration or feed met with it.
     """
-    configs = set()
-    labels_seen = set()
+    configs: Dict[tuple, Configuration] = {}  # key -> the first configuration met
+    feed_texts = tuple(f.canon() for f in feeds)
+    messages = dict(zip(feed_texts, feeds))  # a feed's text names it
+    canons, labels_seen = set(), set()
+
+    def keyed(cfg: Configuration) -> tuple:
+        k = cfg.top.key()
+        configs.setdefault(k, cfg)
+        return k
 
     def successors(node, used):
-        cfg, fds, labels = node
-        configs.add(cfg.canon())
+        k, texts, labels = node
+        cfg = configs[k]
+        canons.add(cfg.canon())
         labels_seen.add(labels)
         if used >= depth:
             return
-        for inst in enabled_rules(program, cfg, feeds=fds):
-            cfg2 = next_configuration(program, cfg, inst)
-            fds2 = _without(fds, inst.subject) if inst.rule_id == "In" else fds
+        for inst in enabled_rules(program, cfg, feeds=[messages[t] for t in texts]):
+            texts2 = texts
+            if inst.rule_id == "In":
+                n = texts.index(inst.payload)
+                texts2 = texts[:n] + texts[n + 1:]
             label = inst.boundary_label()
             labels2 = labels if label is None else labels + (label,)
-            yield (cfg2, fds2, labels2), used + 1
+            yield (keyed(next_configuration(program, cfg, inst)), texts2, labels2), used + 1
 
-    def key(node):
-        cfg, fds, labels = node
-        return (cfg.top.key(), tuple(f.canon() for f in fds), labels)
-
-    search((config, tuple(feeds), ()), key, successors, phase="explore", depth=depth)
-    return frozenset(configs), frozenset(labels_seen)
+    search((keyed(config), feed_texts, ()), successors, phase="explore", depth=depth)
+    return frozenset(canons), frozenset(labels_seen)

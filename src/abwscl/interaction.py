@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from . import rules
+from . import engine, rules
 from . import syntax as ast
 from .engine import (
     _MINTS,
@@ -77,9 +77,6 @@ _DUAL_SHAPE = {
     "consume-1": "emit-1",
     "consume-2": "emit-2",
 }
-
-# states a silent-step search may visit before giving up on termination
-_MAX_STATES = 200_000
 
 
 def _payload_text(value: Value) -> str:
@@ -514,11 +511,12 @@ class _Section:
     enable, and the transitions their rows have learned.
 
     When a row of the section first expands, one `enabled_rules` call on
-    `top` fills `rules`, the instances the actors and signals enable,
-    sorted, and `fates`, each of `top`'s pending message texts -> the
-    instances the message enables (none while it is refused).  A row's
-    message text not met yet is asked of `_message_rules` against `top`:
-    a message's fate reads only the message and the section."""
+    the section's actors and signals alone fills `rules`, the instances
+    they enable, sorted.  `fates` maps a pending message text -> the
+    instances the message enables (none while it is refused), filled
+    lazily: a row's message text not met yet is asked of `_message_rules`
+    against `top`, since a message's fate reads only the message and the
+    section."""
 
     __slots__ = ("id", "top", "rules", "fates", "steps")
 
@@ -539,8 +537,9 @@ class _MoveTable:
     (section id, pending message texts, restriction ids, unconsumed
     feeds); every step lands on its row by an edit of them.  A row holds
     its own moves without peer calls, and the peer calls that arrive at
-    it, by call text.  A move is (step, the call it sends toward the gate
-    as (text, value) or None, next id).  In a check, the solo search
+    it, by call text.  A move is (step, the text of the call it sends
+    toward the gate or None, next id); `sent` maps each such text to the
+    call's value.  In a check, the solo search
     fills rows as it expands them; the product and the witness read them
     and compute only the states the solo search never reached.  Moves
     come from the sections' transitions and edits of the row's pending
@@ -550,7 +549,7 @@ class _MoveTable:
     an unreduced one always fans out."""
 
     __slots__ = ("pc", "reduced", "ids", "rows", "section_ids", "sections", "calls",
-                 "entering", "feeds")
+                 "sent", "entering", "feeds")
 
     def __init__(self, pc: PartialConfiguration, *, reduced: bool = True):
         self.pc = pc
@@ -563,8 +562,10 @@ class _MoveTable:
         self.sections: List[_Section] = []
         # call text -> (text, message) of what a peer call enters as
         self.calls: dict = {}
+        # call text -> value of every call a move sends toward the gate
+        self.sent: dict = {}
         self.entering = [self._entering(feed) for feed in pc.env_feeds]
-        # (call text, value) per peer call, as the bags of a product hold them
+        # (call text, value) per peer call
         self.feeds = [(canon_value(f.value), f.value) for f in pc.peer_feeds]
 
     def _entering(self, feed: AppMessage) -> Tuple[str, AppMessage]:
@@ -618,12 +619,8 @@ class _MoveTable:
         row = self.rows[i]
         sec = row.section
         if sec.rules is None:
-            insts = enabled_rules(self.pc.program, Configuration(sec.top))
-            sec.fates = dict.fromkeys(sec.top.key()[3], ())
-            for inst in insts:
-                if inst.subject.__class__ is AppMessage:
-                    sec.fates[inst.payload] = (inst,)
-            sec.rules = tuple([inst for inst in insts if inst.subject.__class__ is not AppMessage])
+            section = Fragment(sec.top.actors, sec.top.events)
+            sec.rules = enabled_rules(self.pc.program, Configuration(section))
         messages = []
         last = None
         for text, am in zip(row.texts, row.apps):
@@ -669,9 +666,12 @@ class _MoveTable:
             for inst in insts if ample is None else (ample,):
                 j = self.successor(i, inst)
                 if inst.rule_id == "Out":
-                    # a call toward the gate lands, with its text, in the other side's in-bag
+                    # a call toward the gate lands, as its text, in the other side's in-bag
                     am = inst.subject
-                    sent = (canon_value(am.value), am.value) if am.dest == self.pc.gate else None
+                    sent = None
+                    if am.dest == self.pc.gate:
+                        sent = canon_value(am.value)
+                        self.sent[sent] = am.value
                     moves.append((_ejection(self.pc, am), sent, j))
                 else:
                     moves.append((quiet, None, j))
@@ -749,7 +749,7 @@ def _edges(table: _MoveTable, i: int, free_peer: bool):
 
 
 def _solo_labels(
-    pc: PartialConfiguration, depth: int, table: _MoveTable, *, max_states: int = _MAX_STATES
+    pc: PartialConfiguration, depth: int, table: _MoveTable
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
     """Visible step keys reachable alone within depth, and states seen.
     The search runs on the one-copy quotient (see `_one_copy`) and fills
@@ -769,17 +769,13 @@ def _solo_labels(
                 labels.add(step.key())
                 yield quotient(i, j), count + 1
 
-    visits = search(
-        table.one_copy(table.start()),
-        int,  # a row id is its state's key
-        successors,
-        phase=f"solo {pc.behavior}", depth=depth, budget=max_states,
-    )
+    visits = search(table.one_copy(table.start()), successors,
+                    phase=f"solo {pc.behavior}", depth=depth)
     return frozenset(labels), visits
 
 
 def interaction_semantics(
-    pc: PartialConfiguration, depth: int, *, max_states: int = _MAX_STATES
+    pc: PartialConfiguration, depth: int
 ) -> FrozenSet[InteractionSequence]:
     """All boundary behaviours within the given number of visible steps.
 
@@ -802,19 +798,11 @@ def interaction_semantics(
                 found.add(steps2)
                 yield (j, steps2, False), visible + 1
 
-    search(
-        (table.start(), (), False), lambda n: n, successors,
-        phase="semantics", depth=depth, budget=max_states,
-    )
+    search((table.start(), (), False), successors, phase="semantics", depth=depth)
     return frozenset(InteractionSequence(s) for s in found)
 
 
-def admits_sequence(
-    pc: PartialConfiguration,
-    seq: InteractionSequence,
-    *,
-    max_states: int = _MAX_STATES,
-) -> bool:
+def admits_sequence(pc: PartialConfiguration, seq: InteractionSequence) -> bool:
     """Whether the side can produce exactly these visible steps, in
     order, with any amount of internal work in between.  The search runs
     on a reduced move table, whose ample moves keep every visible
@@ -832,10 +820,8 @@ def admits_sequence(
                 done = done or idx + 1 == len(want)
                 yield (j, idx + 1), idx + 1
 
-    search(
-        (table.start(), 0), lambda n: n, successors,
-        phase="admits", depth=len(want), budget=max_states, stop=lambda: done,
-    )
+    search((table.start(), 0), successors, phase="admits", depth=len(want),
+           stop=lambda: done)
     return done
 
 
@@ -859,74 +845,67 @@ def default_depth(pc_a: PartialConfiguration, pc_m: PartialConfiguration) -> int
     return 2 * (len(d_a.methods) + len(d_m.methods))
 
 
-def _bag_key(bag: Tuple[Tuple[str, Value], ...]) -> Tuple[str, ...]:
-    return tuple(sorted([text for text, _value in bag]))
+def _bag_with(bag: Tuple[str, ...], text: str) -> Tuple[str, ...]:
+    """The sorted bag of call texts with one more copy of `text`."""
+    k = bisect_right(bag, text)
+    return bag[:k] + (text,) + bag[k:]
 
 
-def _consume_edges(table: _MoveTable, i: int, bag: Tuple[Tuple[str, Value], ...]):
-    """Deliverable calls waiting in the other side's out-bag: (step, the
-    bag less the call, next id)."""
+def _consume_edges(table: _MoveTable, i: int, bag: Tuple[str, ...], values: dict):
+    """Deliverable calls waiting in the other side's out-bag, a sorted
+    tuple of call texts whose values `values` holds: (step, the bag less
+    the call, next id)."""
     out = []
-    taken = set()
-    for k, (text, value) in enumerate(bag):
-        if text in taken:
-            continue
-        taken.add(text)
-        arrival = table.arrival(i, text, value)
+    for k, text in enumerate(bag):
+        if k and text == bag[k - 1]:
+            continue  # a copy: sorted texts put copies next to each other
+        arrival = table.arrival(i, text, values[text])
         if arrival is not None:
             step, j = arrival
-            out.append((step, bag[:k] + bag[k + 1 :], j))
+            out.append((step, bag[:k] + bag[k + 1:], j))
     return out
 
 
 def _product_edges(table_a: _MoveTable, table_m: _MoveTable, state):
     """Moves of the two-sided product; consumes draw from the bags.
 
-    A product state is (id A, id M, bag A->M, bag M->A); a call sent
-    toward the gate lands, with its text, in the other side's in-bag.  A
-    commuting silent move on either side preempts the fan-out exactly as
-    it does solo: it touches nothing the other side can read."""
+    A product state is (id A, id M, bag A->M, bag M->A), each bag the
+    sorted texts of the calls in flight, so the state is its own key.  A
+    call sent toward the gate lands, as its text, in the other side's
+    in-bag; the receiving side reads its value from the sender's `sent`.
+    A commuting silent move on either side preempts the fan-out exactly
+    as it does solo: it touches nothing the other side can read."""
     a, m, bag_am, bag_ma = state
     edges_a, ample_a = table_a.moves(a)
     moves = [
-        ("A", step, (j, m, bag_am + (sent,) if sent else bag_am, bag_ma))
+        ("A", step, (j, m, _bag_with(bag_am, sent) if sent else bag_am, bag_ma))
         for step, sent, j in edges_a
     ]
     if ample_a:
         return moves
     edges_m, ample_m = table_m.moves(m)
     own_m = [
-        ("M", step, (a, j, bag_am, bag_ma + (sent,) if sent else bag_ma))
+        ("M", step, (a, j, bag_am, _bag_with(bag_ma, sent) if sent else bag_ma))
         for step, sent, j in edges_m
     ]
     if ample_m:
         return own_m
     moves += own_m
     if bag_ma:
-        for step, bag2, j in _consume_edges(table_a, a, bag_ma):
+        for step, bag2, j in _consume_edges(table_a, a, bag_ma, table_m.sent):
             moves.append(("A", step, (j, m, bag_am, bag2)))
     if bag_am:
-        for step, bag2, j in _consume_edges(table_m, m, bag_am):
+        for step, bag2, j in _consume_edges(table_m, m, bag_am, table_a.sent):
             moves.append(("M", step, (a, j, bag2, bag_ma)))
     return moves
 
 
-def _product_key(state) -> Tuple:
-    a, m, bag_am, bag_ma = state
-    # most bags are empty, and an empty bag is its own key
-    return (a, m, bag_am and _bag_key(bag_am), bag_ma and _bag_key(bag_ma))
-
-
-def _product_start(table_a: _MoveTable, table_m: _MoveTable):
-    return (table_a.start(), table_m.start(), (), ())
-
-
-def _greedy_witness(table_a, table_m, depth, side, missing_step, *, max_states):
+def _greedy_witness(table_a, table_m, depth, side, missing_step):
     """A deterministic product run projected on the failing side, with
     the unmatched step appended; the move tables supply the moves."""
-    state = _product_start(table_a, table_m)
+    state = (table_a.start(), table_m.start(), (), ())
     history: List[Tuple[str, InteractionStep]] = []
-    for _ in range(max_states):
+    for _ in range(engine._MAX_STATES):
         if sum(1 for _s, st in history if st.visible) >= depth:
             break
         moves = _product_edges(table_a, table_m, state)
@@ -957,8 +936,6 @@ def compatible(
     pc_a: PartialConfiguration,
     pc_m: PartialConfiguration,
     depth: Optional[int] = None,
-    *,
-    max_states: int = _MAX_STATES,
 ) -> Verdict:
     """Whether each side's solo behaviour survives being fed by the other.
 
@@ -977,8 +954,8 @@ def compatible(
     # each side's move table serves all its phases in this check
     table_a = _MoveTable(pc_a)
     table_m = _MoveTable(pc_m)
-    req_a, n_a = _solo_labels(pc_a, depth, table_a, max_states=max_states)
-    req_m, n_m = _solo_labels(pc_m, depth, table_m, max_states=max_states)
+    req_a, n_a = _solo_labels(pc_a, depth, table_a)
+    req_m, n_m = _solo_labels(pc_m, depth, table_m)
     got_a: Set[Tuple[str, str]] = set()
     got_m: Set[Tuple[str, str]] = set()
 
@@ -995,10 +972,8 @@ def compatible(
         return req_a <= got_a and req_m <= got_m
 
     # depth-first so a full conversation is walked before its variants
-    explored = search(
-        _product_start(table_a, table_m), _product_key, successors,
-        phase="product", depth=depth, budget=max_states, lifo=True, stop=covered,
-    )
+    explored = search((table_a.start(), table_m.start(), (), ()), successors,
+                      phase="product", depth=depth, lifo=True, stop=covered)
     explored += n_a + n_m
     if covered():
         return Verdict(kind="Composable", depth=depth, explored=explored)
@@ -1009,7 +984,7 @@ def compatible(
     )
     side, shape, text = missing[0]
     step = _missing_to_step(pc_a if side == "A" else pc_m, shape, text)
-    witness = _greedy_witness(table_a, table_m, depth, side, step, max_states=max_states)
+    witness = _greedy_witness(table_a, table_m, depth, side, step)
     labels = tuple(f"{'left' if s == 'A' else 'right'}:{sh}({tx})" for s, sh, tx in missing)
     return Verdict(
         kind="Incompatible", depth=depth, explored=explored, witness=witness, missing=labels
@@ -1020,11 +995,9 @@ def composable(
     pc_a: PartialConfiguration,
     pc_m: PartialConfiguration,
     depth: Optional[int] = None,
-    *,
-    max_states: int = _MAX_STATES,
 ) -> Verdict:
     """Disjoint members plus mutual compatibility, reported distinctly."""
     overlap = tuple(sorted(pc_a.members() & pc_m.members(), key=lambda a: a.id))
     if overlap:
         return Verdict(kind="MemberOverlap", depth=depth or 0, explored=0, overlap=overlap)
-    return compatible(pc_a, pc_m, depth, max_states=max_states)
+    return compatible(pc_a, pc_m, depth)

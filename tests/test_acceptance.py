@@ -380,6 +380,8 @@ def test_exploration_matches_naive_enumeration(mini_program):
     fixtures = [
         (mini_program, side_a.config, side_a.peer_feeds),
         (mini_program, side_b.config, side_b.peer_feeds + side_b.env_feeds),
+        # every feed twice: copies of one feed text
+        (mini_program, side_b.config, (side_b.peer_feeds + side_b.env_feeds) * 2),
         (pair, side_c.config, side_c.peer_feeds),
     ]
     for program, config, feeds in fixtures:

@@ -55,8 +55,8 @@ def test_same_seed_same_trace(program):
 
 
 def test_a_run_builds_no_state_key(program, mini_program):
-    """Only a search reads state keys: each step of a run splices its
-    successor from its parent, and no fragment of the trace builds one."""
+    """Only a search reads state keys: nothing a run calls asks for
+    `Fragment.key()`, so no fragment of the trace builds one."""
     alloc = AddressAllocator()
     mini = run(mini_program, initial_configuration(mini_program, "MiniWSC", alloc), alloc=alloc)
     for trace in (golden(program), mini):

@@ -305,20 +305,21 @@ def test_a_peer_call_is_injected_only_while_no_copy_is_pending(mini_program):
         assert _consumes(pc, after, env_left) == []
 
         table = interaction._MoveTable(pc)
-        call = (canon_value(step.payload), step.payload)
-        bag = (call, call)
-        offered = interaction._consume_edges(table, table.start(), bag)
-        assert [(s.key(), rest) for s, rest, _j in offered] == [(("consume-2", method), (call,))]
+        text = canon_value(step.payload)
+        bag, values = (text, text), {text: step.payload}
+        offered = interaction._consume_edges(table, table.start(), bag, values)
+        assert [(s.key(), rest) for s, rest, _j in offered] == [(("consume-2", method), (text,))]
         arrived = offered[0][2]
         assert table.rows[arrived].config.canon() == after.canon()
-        assert interaction._consume_edges(table, arrived, bag) == []
+        assert interaction._consume_edges(table, arrived, bag, values) == []
 
 
 def _table_moves(table, i):
     """A row's moves as the move table holds them, in printable terms."""
     row = table.rows[i]
     return row.ample, [
-        (step.label(), sent, table.rows[j].config.canon(), table.rows[j].env_left)
+        (step.label(), None if sent is None else (sent, table.sent[sent]),
+         table.rows[j].config.canon(), table.rows[j].env_left)
         for step, sent, j in row.moves
     ]
 
@@ -396,8 +397,8 @@ def test_move_table_matches_fresh_moves(
         if not table_a.rows[a].ample:
             read.add((table_m, m))
             if not table_m.rows[m].ample:
-                arrivals |= {(table_a, a, text) for text, _v in bag_ma}
-                arrivals |= {(table_m, m, text) for text, _v in bag_am}
+                arrivals |= {(table_a, a, text) for text in bag_ma}
+                arrivals |= {(table_m, m, text) for text in bag_am}
     solo_filled = {(table, i) for table, rows in after_solo.items() for i in rows}
     assert read & solo_filled
     for table, i in read | solo_filled:
@@ -925,19 +926,25 @@ def test_shared_members_preempt_compatibility(mini_program):
     assert verdict.overlap == (Address("MiniWSO", "WSO"),)
 
 
-def test_state_budget_is_enforced(program, request_lb_mutant_program):
+def test_state_budget_is_enforced(monkeypatch, program, request_lb_mutant_program):
     pc = wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
+    monkeypatch.setattr(engine, "_MAX_STATES", 50)
     with pytest.raises(SilentDivergence) as info:
-        interaction_semantics(pc, 4, max_states=50)
+        interaction_semantics(pc, 4)
     message = str(info.value)
     assert "semantics" in message
     assert "more than 50 states" in message
     assert "depth 4" in message
+    # the tests' exploration oracle runs under the same budget
+    with pytest.raises(SilentDivergence) as info:
+        engine.explore(pc.program, pc.config, 12, feeds=pc.peer_feeds)
+    assert str(info.value) == "explore: more than 50 states within depth 12"
 
     # both solo phases fit in the budget; the product does not
+    monkeypatch.setattr(engine, "_MAX_STATES", 1000)
     pc_a, pc_m = check_pair(request_lb_mutant_program, "UserAgentWS", "BookStoreWS", "ws-ws")
     with pytest.raises(SilentDivergence) as info:
-        composable(pc_a, pc_m, max_states=1000)
+        composable(pc_a, pc_m)
     assert str(info.value) == "product: more than 1000 states within depth 24"
 
 
