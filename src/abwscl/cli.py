@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import interaction, wsmap
 from .engine import run as engine_run
@@ -35,93 +34,38 @@ from .terms import Address, AddressAllocator
 OK, INVALID, UNKNOWN, STEP_LIMIT, INCOMPATIBLE, OVERLAP, KIND_MISMATCH = range(7)
 
 
-@dataclass
-class RunConfig:
-    corpus: Tuple[Path, ...]
-    name: str
-    seed: int = 0
-    max_steps: int = 1000
-    out: Optional[Path] = None
-    depth: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_steps <= 0:
-            raise ValueError("max-steps must be positive")
-        if self.depth is not None and self.depth <= 0:
-            raise ValueError("depth must be positive")
-
-
-def _load(corpus: Sequence[Path], err) -> Optional[Program]:
+def cmd_run(program: Program, args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
     try:
-        program = Program.from_files(corpus)
-    except (ParseError, OSError) as e:
-        print(f"error: {e}", file=err)
-        return None
-    diags = program.validate()
-    if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=err)
-        return None
-    return program
-
-
-def _write(path: Path, data: bytes, err) -> bool:
-    """Write an output file; report an error and return False when the
-    path cannot be written."""
-    try:
-        path.write_bytes(data)
-    except OSError as e:
-        print(f"error: {e}", file=err)
-        return False
-    return True
-
-
-def cmd_run(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
-    program = _load(cfg.corpus, err)
-    if program is None:
-        return INVALID
-    if not program.has(cfg.name):
-        print(f"error: no behaviour named {cfg.name!r}", file=err)
-        return UNKNOWN
-    try:
-        config = initial_configuration(program, cfg.name, AddressAllocator())
-        trace = engine_run(program, config, max_steps=cfg.max_steps, seed=cfg.seed)
+        config = initial_configuration(program, args.name, AddressAllocator())
+        trace = engine_run(program, config, max_steps=args.max_steps, seed=args.seed)
     except AbwsclError as e:
         print(f"error: {e}", file=err)
         return INVALID
     text = trace.text()
-    if cfg.out is None:
+    if args.out is None:
         out.write(text)
-    elif not _write(cfg.out, text.encode("utf-8"), err):
-        return INVALID
+    else:
+        args.out.write_bytes(text.encode("utf-8"))
     return OK if trace.quiescent else STEP_LIMIT
 
 
-def cmd_check(
-    cfg: RunConfig, name_b: str, boundary: str, out=sys.stdout, err=sys.stderr
-) -> int:
-    program = _load(cfg.corpus, err)
-    if program is None:
-        return INVALID
-    for name in (cfg.name, name_b):
-        if not program.has(name):
-            print(f"error: no behaviour named {name!r}", file=err)
-            return UNKNOWN
+def cmd_check(program: Program, args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
+    name_a, name_b, boundary = args.name_a, args.name_b, args.boundary
     try:
-        kind = program.definition(cfg.name).kind
+        kind = program.definition(name_a).kind
         # one name fits both sides only at the boundary between two of its
         # kind; elsewhere check_pair's kind check refuses it
-        if cfg.name == name_b and boundary == f"{kind}-{kind}".lower():
+        if name_a == name_b and boundary == f"{kind}-{kind}".lower():
             # both sides are the same fragment: every member is shared
             verdict = interaction.Verdict(
                 kind="MemberOverlap",
-                depth=cfg.depth or 0,
+                depth=args.depth or 0,
                 explored=0,
-                overlap=(Address(cfg.name, kind),),
+                overlap=(Address(name_a, kind),),
             )
         else:
-            pc_a, pc_m = interaction.check_pair(program, cfg.name, name_b, boundary)
-            verdict = interaction.composable(pc_a, pc_m, cfg.depth)
+            pc_a, pc_m = interaction.check_pair(program, name_a, name_b, boundary)
+            verdict = interaction.composable(pc_a, pc_m, args.depth)
     except AbwsclError as e:
         print(f"error: {e}", file=err)
         return INVALID
@@ -139,14 +83,14 @@ def cmd_check(
         record["overlap"] = [a.canon() for a in verdict.overlap]
     print(json.dumps(record, sort_keys=True), file=out)
     if verdict.kind == "Composable":
-        print(f"{cfg.name} and {name_b} are composable at {boundary}.", file=out)
+        print(f"{name_a} and {name_b} are composable at {boundary}.", file=out)
         return OK
     if verdict.kind == "MemberOverlap":
         shared = ", ".join(a.canon() for a in verdict.overlap)
-        print(f"{cfg.name} and {name_b} share members: {shared}.", file=out)
+        print(f"{name_a} and {name_b} share members: {shared}.", file=out)
         return OVERLAP
     print(
-        f"{cfg.name} and {name_b} are not composable at {boundary}; "
+        f"{name_a} and {name_b} are not composable at {boundary}; "
         f"first unmet step: {verdict.missing[0]}.",
         file=out,
     )
@@ -155,23 +99,14 @@ def cmd_check(
     return INCOMPATIBLE
 
 
-def cmd_export(
-    cfg: RunConfig, target: str, out_dir: Path, out=sys.stdout, err=sys.stderr
-) -> int:
-    program = _load(cfg.corpus, err)
-    if program is None:
-        return INVALID
-    if not program.has(cfg.name):
-        print(f"error: no behaviour named {cfg.name!r}", file=err)
-        return UNKNOWN
+def cmd_export(program: Program, args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
     try:
-        skeleton = wsmap.export(program, target, cfg.name)
+        skeleton = wsmap.export(program, args.target, args.name)
     except (NotAWS, NotAWSO, NotAWSC, RoleCountMismatch) as e:
         print(f"error: {e}", file=err)
         return KIND_MISMATCH
-    path = out_dir / wsmap.export_file_name(target, cfg.name)
-    if not _write(path, skeleton.to_bytes(), err):
-        return INVALID
+    path = args.out / wsmap.export_file_name(args.target, args.name)
+    path.write_bytes(skeleton.to_bytes())
     print(path, file=out)
     return OK
 
@@ -202,23 +137,32 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+COMMANDS = {"run": cmd_run, "check": cmd_check, "export": cmd_export}
+
+
 def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     args = _parser().parse_args(argv)
+    names = (args.name_a, args.name_b) if args.command == "check" else (args.name,)
     try:
-        if args.command == "run":
-            cfg = RunConfig(
-                corpus=tuple(args.corpus), name=args.name,
-                seed=args.seed, max_steps=args.max_steps, out=args.out,
-            )
-            return cmd_run(cfg, out=out, err=err)
-        if args.command == "check":
-            cfg = RunConfig(
-                corpus=tuple(args.corpus), name=args.name_a, depth=args.depth
-            )
-            return cmd_check(cfg, args.name_b, args.boundary, out=out, err=err)
-        cfg = RunConfig(corpus=tuple(args.corpus), name=args.name)
-        return cmd_export(cfg, args.target, args.out, out=out, err=err)
-    except ValueError as e:
+        if args.command == "run" and args.max_steps <= 0:
+            raise ValueError("max-steps must be positive")
+        if args.command == "check" and args.depth is not None and args.depth <= 0:
+            raise ValueError("depth must be positive")
+        program = Program.from_files(args.corpus)
+        diags = program.validate()
+        for d in diags:
+            print(f"invalid: {d}", file=err)
+        if diags:
+            return INVALID
+        for name in names:
+            if not program.has(name):
+                print(f"error: no behaviour named {name!r}", file=err)
+                return UNKNOWN
+        return COMMANDS[args.command](program, args, out=out, err=err)
+    # a file that cannot be read, parsed or decoded (UnicodeDecodeError is
+    # a ValueError), a flag out of range, or an output path that cannot be
+    # written
+    except (OSError, ParseError, ValueError) as e:
         print(f"error: {e}", file=err)
         return INVALID
 

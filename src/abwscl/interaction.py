@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from . import engine, rules
 from . import syntax as ast
@@ -230,38 +230,28 @@ def dual(seq: InteractionSequence) -> InteractionSequence:
 # -- building the two kinds of side -------------------------------------------
 
 
-def _link_names(d: ast.BehaviorDefinition, kind: str) -> Tuple[str, ...]:
-    return tuple(l.name for l in d.links if l.kind == kind)
-
-
-def _sends_toward(d: ast.BehaviorDefinition, link_names: Sequence[str]) -> Tuple[str, ...]:
-    """Method names this behaviour sends along the given references,
-    in first-send order, deduplicated."""
-    targets = set(link_names)
-    seen: List[str] = []
-    for m in d.bodies():
-        for act in m.body:
-            if isinstance(act, ast.SendAct) and act.target in targets:
-                if act.method not in seen:
-                    seen.append(act.method)
-    return tuple(seen)
+def _default_call(d: ast.BehaviorDefinition, name: str) -> Record:
+    """A call of `d`'s method `name` with each parameter's default value
+    (no arguments when `d` declares no such method)."""
+    m = d.method(name)
+    args = tuple(_DEFAULTS.get(ptype) for ptype, _pname in m.params) if m else ()
+    return call_record(name, args)
 
 
 def _feed_calls(
     sender: ast.BehaviorDefinition,
-    link_names: Sequence[str],
+    kind: str,
     receiver: ast.BehaviorDefinition,
     dest: Address,
     src: Address,
 ) -> Tuple[AppMessage, ...]:
-    feeds = []
-    for name in _sends_toward(sender, link_names):
-        m = receiver.method(name)
-        if m is None:
-            continue
-        args = tuple(_DEFAULTS.get(ptype) for ptype, _pname in m.params)
-        feeds.append(AppMessage(dest=dest, src=src, value=call_record(name, args)))
-    return tuple(feeds)
+    """The calls `sender` sends along its `kind` references that
+    `receiver` declares, each with default arguments."""
+    return tuple(
+        AppMessage(dest=dest, src=src, value=_default_call(receiver, name))
+        for name in sender.sends(kind)
+        if receiver.method(name) is not None
+    )
 
 
 def wso_side(
@@ -300,7 +290,7 @@ def wso_side(
         anchor=anchor,
         peer=peer,
         gate=gate,
-        peer_feeds=_feed_calls(ws_def, _link_names(ws_def, "WSO"), d, anchor, gate),
+        peer_feeds=_feed_calls(ws_def, "WSO", d, anchor, gate),
         env_feeds=(),
     )
 
@@ -342,10 +332,7 @@ def ws_side(
     fragment = restrict(Fragment.make(actors=(actor,), events=birth_signals(actor)), {anchor})
 
     def calls_from(name: Optional[str], src: Address) -> Tuple[AppMessage, ...]:
-        if not name:
-            return ()
-        sender = program.definition(name)
-        return _feed_calls(sender, _link_names(sender, "WS"), d, anchor, src)
+        return _feed_calls(program.definition(name), "WS", d, anchor, src) if name else ()
 
     from_wso, from_partner = calls_from(wso_name, owner), calls_from(partner_name, partner)
     gate = owner if facing == "wso" else partner
@@ -920,15 +907,12 @@ def _greedy_witness(table_a, table_m, depth, side, missing_step):
 
 
 def _missing_to_step(pc: PartialConfiguration, shape: str, text: str) -> InteractionStep:
-    d = pc.program.definition(pc.behavior)
-    m = d.method(text)
-    args = tuple(_DEFAULTS.get(pt) for pt, _pn in m.params) if m else ()
     return InteractionStep(
         boundary=pc.boundary,
         shape=shape,
         outer=pc.peer,
         inner=pc.anchor,
-        payload=call_record(text, args),
+        payload=_default_call(pc.program.definition(pc.behavior), text),
     )
 
 

@@ -7,7 +7,7 @@ Expressions are side-effect free; actions are the only way state moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import EvalTypeError, UnknownName
 from .terms import Address, Record, Value, canon_value
@@ -308,6 +308,20 @@ class BehaviorDefinition:
             if l.name == name:
                 return l
         return None
+
+    def sends(
+        self, kind: str, bodies: Optional[Sequence[MethodDefinition]] = None
+    ) -> Tuple[str, ...]:
+        """The methods `bodies` send along references of `kind`, by default
+        over every body (init first), once each in first-send order."""
+        sent = {}
+        for m in self.bodies() if bodies is None else bodies:
+            for act in m.body:
+                if isinstance(act, SendAct):
+                    link = self.link(act.target)
+                    if link is not None and link.kind == kind:
+                        sent[act.method] = None
+        return tuple(sent)
 
 
 def pp_method(m: MethodDefinition, indent: str = "  ") -> str:

@@ -67,6 +67,15 @@ def _check_definition(
 ) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
 
+    # readers resolve a name to a reference or a variable in different
+    # orders, so one name may be declared once; parameters may shadow it
+    declared = set()
+    for decl in sorted(d.links + d.variables, key=lambda x: (x.loc.line, x.loc.col)):
+        if decl.name in declared:
+            diags.append(_diag(decl, "DuplicateName",
+                               f"{d.name} declares {decl.name!r} twice"))
+        declared.add(decl.name)
+
     if d.kind == "AA":
         wso_links = [l for l in d.links if l.kind == "WSO"]
         if len(wso_links) != 1 or len(d.links) != 1:

@@ -107,18 +107,9 @@ def _callable_methods(d: ast.BehaviorDefinition) -> List[ast.MethodDefinition]:
     return [m for m in d.methods if not m.local and m.name != "setPartner"]
 
 
-def _sends_via(d: ast.BehaviorDefinition, m: ast.MethodDefinition, kind: str) -> bool:
-    for act in m.body:
-        if isinstance(act, ast.SendAct):
-            link = d.link(act.target)
-            if link is not None and link.kind == kind:
-                return True
-    return False
-
-
 def _inward_methods(d: ast.BehaviorDefinition) -> List[ast.MethodDefinition]:
     """Methods a partner calls on this service: they forward to the owner."""
-    return [m for m in _callable_methods(d) if _sends_via(d, m, "WSO")]
+    return [m for m in _callable_methods(d) if d.sends("WSO", (m,))]
 
 
 # -- service description ----------------------------------------------------
@@ -351,11 +342,12 @@ def export_cdl(
 
     exchanged: List[Tuple[str, str, str, str]] = []  # method, from-role, to-role, ns
     for m in _callable_methods(ws1):
-        if ws2.method(m.name) is None:
+        m2 = ws2.method(m.name)
+        if m2 is None:
             continue
-        if _sends_via(ws1, m, "WS"):
+        if ws1.sends("WS", (m,)):
             exchanged.append((m.name, role1, role2, "ns1"))
-        elif _sends_via(ws2, ws2.method(m.name), "WS"):
+        elif ws2.sends("WS", (m2,)):
             exchanged.append((m.name, role2, role1, "ns2"))
 
     info_types = [

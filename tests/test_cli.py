@@ -65,12 +65,49 @@ def test_unknown_entry_name(corpus_file):
     assert "NoSuchWSC" in err
 
 
+def test_unknown_second_name(corpus_file):
+    code, out, err = run_cli("check", "UserAgentWSO", "Nobody", "wso-ws", corpus_file)
+    assert (code, out) == (2, "")
+    assert "Nobody" in err
+
+
 def test_unparseable_corpus(tmp_path):
     bad = tmp_path / "bad.abwscl"
     bad.write_text("WSO Broken {", encoding="utf-8")
     code, _, err = run_cli("run", "Broken", bad)
     assert code == 1
     assert "error:" in err
+
+
+# each command with names for a corpus defining `Broken`, before the corpus
+COMMANDS = {
+    "run": ("run", "Broken"),
+    "check": ("check", "Broken", "Broken", "ws-ws"),
+    "export": ("export", "cdl", "Broken"),
+}
+
+
+def _refused(corpus, command, tmp_path):
+    args = COMMANDS[command] + (corpus,)
+    if command == "export":
+        args += ("--out", tmp_path)
+    code, out, err = run_cli(*args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "export"])
+def test_unparseable_corpus_for_check_and_export(tmp_path, command):
+    bad = tmp_path / "bad.abwscl"
+    bad.write_text("WSO Broken {", encoding="utf-8")
+    _refused(bad, command, tmp_path)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_undecodable_corpus(tmp_path, command):
+    bad = tmp_path / "bad.abwscl"
+    bad.write_bytes(b"AA A {\xff }")
+    _refused(bad, command, tmp_path)
 
 
 def test_invalid_corpus(tmp_path, aa_create_mutant_text):
@@ -103,6 +140,11 @@ def test_flag_invariants(corpus_file):
         "check", "MiniWSO", "MiniWS", "wso-ws", corpus_file, "--depth", "-1"
     )
     assert code == 1
+    code, out, err = run_cli(
+        "check", "UserAgentWSO", "UserAgentWS", "wso-ws", corpus_file, "--depth", "0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: depth must be positive\n"
 
 
 def test_check_composable(mini_file):

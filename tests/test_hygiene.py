@@ -36,3 +36,48 @@ def test_every_imported_name_is_read():
         if names:
             unused[f"{path.parent.name}/{path.name}"] = names
     assert unused == {}
+
+
+SOURCES = sorted((ROOT / "src" / "abwscl").glob("*.py"))
+
+
+def private_definitions(tree):
+    """Module-level `_name` functions, classes and assigned constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            }
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(tree):
+    """Names the tree reads: as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {a.name for a in node.names}
+    return read
+
+
+def test_every_private_helper_is_read():
+    """A helper nothing reads is left over from code that was folded
+    into another; the package's own modules are the only readers."""
+    sample = ast.parse("def _f(): pass\nclass _C: pass\n_K, _L = 1, 2\n_M: int = 3\n_K\nx._f\n")
+    assert private_definitions(sample) - names_read(sample) == {"_C", "_L", "_M"}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set().union(*(names_read(t) for t in trees.values()))
+    unread = {
+        name: sorted(private_definitions(tree) - read)
+        for name, tree in trees.items()
+        if private_definitions(tree) - read
+    }
+    assert unread == {}

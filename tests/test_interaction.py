@@ -139,6 +139,25 @@ def test_default_depth_counts_both_method_lists(program):
     assert default_depth(pc_a, pc_m) == 2 * (5 + 6)
 
 
+def test_sends_reads_who_sends_what(program):
+    ws, wso = program.definition("UserAgentWS"), program.definition("UserAgentWSO")
+    assert ws.sends("WSO") == ("receiveLB", "receivePB")
+    assert ws.sends("WS") == ("requestLB", "sendSB", "payB")
+    assert wso.sends("AA") == (
+        "requestLBFromCustomer", "receiveLB", "receiveSBFromCustomer", "receivePB",
+        "payBFromCustomer",
+    )
+    assert program.definition("SendSBAA").sends("WSO") == ("sendSB",)
+    assert [m.name for m in ws.bodies() if ws.sends("WS", (m,))] == [
+        "requestLB", "sendSB", "payB"
+    ]
+    # the checker feeds a side the calls its peer sends, with default arguments
+    pc_a, pc_m = check_pair(program, "UserAgentWSO", "UserAgentWS", "wso-ws")
+    assert [f.value.get("method") for f in pc_a.peer_feeds] == ["receiveLB", "receivePB"]
+    assert [f.value.get("method") for f in pc_m.peer_feeds] == ["requestLB", "sendSB", "payB"]
+    assert wso.sends("WS") == ("requestLB", "sendSB", "payB")
+
+
 def test_mini_pair_is_composable(mini_program):
     pc_a, pc_m = check_pair(mini_program, "MiniWSO", "MiniWS", "wso-ws")
     verdict = composable(pc_a, pc_m, 6)

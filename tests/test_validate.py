@@ -32,6 +32,21 @@ def test_duplicate_definitions():
     assert "DuplicateBehavior" in codes(src)
 
 
+def test_duplicate_declared_names():
+    src = "WSO W { WS x\n AA x\n int x\n init(WS ws) { x := ws } }"
+    diags = validate(parse_program(src))
+    assert [(d.code, d.line, d.col) for d in diags] == [
+        ("DuplicateName", 2, 2), ("DuplicateName", 3, 2)
+    ]
+    assert diags[0].message == "W declares 'x' twice"
+    # a variable declared before a reference of its name: the reference
+    # is the second declaration
+    diags = validate(parse_program("WSO V { int y\n WS y\n init() { } }"))
+    assert [(d.code, d.line) for d in diags] == [("DuplicateName", 2)]
+    # parameters shadow declarations by design
+    assert codes("WSO P { WS a\n int n\n init(WS a, int n) { a := a } }") == []
+
+
 def test_aa_reference_shape():
     assert "AAWsoLink" in codes("AA Lonely { init() { } }")
     assert "AAWsoLink" in codes(
