@@ -159,9 +159,8 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -
                 print(f"error: no behaviour named {name!r}", file=err)
                 return UNKNOWN
         return COMMANDS[args.command](program, args, out=out, err=err)
-    # a file that cannot be read, parsed or decoded (UnicodeDecodeError is
-    # a ValueError), a flag out of range, or an output path that cannot be
-    # written
+    # a file that cannot be read, decoded or parsed (the ParseError names
+    # it), a flag out of range, or an output path that cannot be written
     except (OSError, ParseError, ValueError) as e:
         print(f"error: {e}", file=err)
         return INVALID

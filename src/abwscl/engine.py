@@ -1,5 +1,5 @@
-"""Rule enumeration, schedulers, runs, and the one search kernel behind
-exhaustive exploration.
+"""Rule enumeration, the fair scheduler, runs, and the one search kernel
+every side search in `interaction` runs on.
 
 A run repeatedly asks enabled_rules for every instance whose side
 conditions hold, lets the scheduler pick one, and applies it.  Whether
@@ -57,13 +57,6 @@ class RuleInstance(NamedTuple):
     def key(self) -> Tuple[str, str, str]:
         return (self.rule_id, self.site, self.payload)
 
-    def boundary_label(self) -> Optional[Tuple[str, str]]:
-        """("out"|"in", method) when this step crosses the boundary."""
-        direction = _CROSSING.get(self.rule_id)
-        if direction is None:
-            return None
-        return (direction, self.subject.method or "?")
-
     def __str__(self) -> str:
         return f"{self.rule_id} @ {self.site}"
 
@@ -115,9 +108,9 @@ class Trace:
         return tuple(out)
 
     def boundary_labels(self) -> Tuple[Tuple[str, str], ...]:
-        """((\"out\"|\"in\", method) per boundary crossing, in step order."""
-        labels = (s.instance.boundary_label() for s in self.steps)
-        return tuple(label for label in labels if label is not None)
+        """The ("out"|"in", method) of each boundary crossing, in step order."""
+        return tuple((_CROSSING[s.instance.rule_id], s.instance.subject.method or "?")
+                     for s in self.steps if s.instance.rule_id in _CROSSING)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -349,48 +342,3 @@ def run(
         quiescent = not enabled_rules(program, cur, feeds=remaining)
     return Trace(initial=config, steps=tuple(steps), quiescent=quiescent)
 
-
-def explore(
-    program: Program,
-    config: Configuration,
-    depth: int,
-    feeds: Sequence[AppMessage] = (),
-) -> Tuple[frozenset, frozenset]:
-    """Breadth-first closure over every interleaving, `depth` steps deep.
-
-    Returns (reachable configuration canons, boundary-label sequences).
-    The label set is prefix-closed: every visited path contributes the
-    boundary crossings seen so far.  Every state enumerates and applies
-    its rules afresh, as a run does, and a create step mints the
-    addresses a run through the same steps would.  A node is (fragment
-    key, unconsumed feed texts, labels); a key or a text maps back to
-    the first configuration or feed met with it.
-    """
-    configs: Dict[tuple, Configuration] = {}  # key -> the first configuration met
-    feed_texts = tuple(f.canon() for f in feeds)
-    messages = dict(zip(feed_texts, feeds))  # a feed's text names it
-    canons, labels_seen = set(), set()
-
-    def keyed(cfg: Configuration) -> tuple:
-        k = cfg.top.key()
-        configs.setdefault(k, cfg)
-        return k
-
-    def successors(node, used):
-        k, texts, labels = node
-        cfg = configs[k]
-        canons.add(cfg.canon())
-        labels_seen.add(labels)
-        if used >= depth:
-            return
-        for inst in enabled_rules(program, cfg, feeds=[messages[t] for t in texts]):
-            texts2 = texts
-            if inst.rule_id == "In":
-                n = texts.index(inst.payload)
-                texts2 = texts[:n] + texts[n + 1:]
-            label = inst.boundary_label()
-            labels2 = labels if label is None else labels + (label,)
-            yield (keyed(next_configuration(program, cfg, inst)), texts2, labels2), used + 1
-
-    search((keyed(config), feed_texts, ()), successors, phase="explore", depth=depth)
-    return frozenset(canons), frozenset(labels_seen)

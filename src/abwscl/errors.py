@@ -102,10 +102,13 @@ class SelfPartner(AbwsclError):
 # --- surface language -----------------------------------------------------
 
 class ParseError(AbwsclError):
-    """Source could not be parsed; carries line/column and expectation."""
+    """Source could not be parsed; carries line/column and expectation,
+    and the file's path when the source was read from one."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, line: int, col: int, path=None):
+        where = f"{line}:{col}" if path is None else f"{path}:{line}:{col}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -141,7 +141,7 @@ class InteractionStep:
 
 @lru_cache(maxsize=None)
 def silent(boundary: str) -> InteractionStep:
-    # steps are immutable, so each boundary shares one silent marker
+    # steps are immutable, so each boundary shares one silent step
     return InteractionStep(boundary=boundary, shape="silent")
 
 
@@ -158,9 +158,6 @@ class InteractionSequence:
 
     def dual(self) -> "InteractionSequence":
         return InteractionSequence(tuple(s.dual() for s in self.steps))
-
-    def visible(self) -> "InteractionSequence":
-        return InteractionSequence(tuple(s for s in self.steps if s.visible))
 
     def labels(self) -> Tuple[str, ...]:
         return tuple(s.label() for s in self.steps)
@@ -531,16 +528,14 @@ class _MoveTable:
     and compute only the states the solo search never reached.  Moves
     come from the sections' transitions and edits of the row's pending
     messages; a configuration is built only to apply a rule (see README,
-    "How the composability check works").
-    A reduced table takes one ample move alone where `_ample` finds one;
-    an unreduced one always fans out."""
+    "How the composability check works").  A row takes one ample move
+    alone where `_ample` finds one."""
 
-    __slots__ = ("pc", "reduced", "ids", "rows", "section_ids", "sections", "calls",
+    __slots__ = ("pc", "ids", "rows", "section_ids", "sections", "calls",
                  "sent", "entering", "feeds")
 
-    def __init__(self, pc: PartialConfiguration, *, reduced: bool = True):
+    def __init__(self, pc: PartialConfiguration):
         self.pc = pc
-        self.reduced = reduced
         self.ids: dict = {}
         self.rows: List[_Row] = []
         # (actor texts, signal texts) -> id, an index into `sections`; a
@@ -647,7 +642,7 @@ class _MoveTable:
         row = self.rows[i]
         if row.moves is None:
             insts = self.instances(i)
-            ample = _ample(self.pc, row.section.top, insts) if self.reduced else None
+            ample = _ample(self.pc, row.section.top, insts)
             quiet = silent(self.pc.boundary)
             moves = []
             for inst in insts if ample is None else (ample,):
@@ -740,7 +735,7 @@ def _solo_labels(
 ) -> Tuple[FrozenSet[Tuple[str, str]], int]:
     """Visible step keys reachable alone within depth, and states seen.
     The search runs on the one-copy quotient (see `_one_copy`) and fills
-    `table`, the side's reduced move table for this check."""
+    `table`, the side's move table for this check."""
     rows = table.rows
     labels: Set[Tuple[str, str]] = set()
 
@@ -764,36 +759,34 @@ def _solo_labels(
 def interaction_semantics(
     pc: PartialConfiguration, depth: int
 ) -> FrozenSet[InteractionSequence]:
-    """All boundary behaviours within the given number of visible steps.
+    """All boundary behaviours within the given number of visible steps:
+    the side's visible sequences (weak traces), internal work left out.
 
     Peer calls are consumed freely, silent neighbours feed once each.
-    Runs of internal work compress to a single silent marker before the
-    next visible step; a sequence never ends on a marker.  The search
-    runs on an unreduced move table: every interleaving is a sequence.
+    The search runs on the move table, whose ample moves keep every
+    visible sequence.
     """
     found: Set[Tuple[InteractionStep, ...]] = {()}
-    table = _MoveTable(pc, reduced=False)
-    marker = silent(pc.boundary)
+    table = _MoveTable(pc)
 
     def successors(node, visible):
-        i, steps, quiet = node
+        i, steps = node
         for step, j in _edges(table, i, visible < depth):
             if not step.visible:
-                yield (j, steps, True), visible
+                yield (j, steps), visible
             elif visible < depth:
-                steps2 = steps + ((marker,) if quiet else ()) + (step,)
+                steps2 = steps + (step,)
                 found.add(steps2)
-                yield (j, steps2, False), visible + 1
+                yield (j, steps2), visible + 1
 
-    search((table.start(), (), False), successors, phase="semantics", depth=depth)
+    search((table.start(), ()), successors, phase="semantics", depth=depth)
     return frozenset(InteractionSequence(s) for s in found)
 
 
 def admits_sequence(pc: PartialConfiguration, seq: InteractionSequence) -> bool:
     """Whether the side can produce exactly these visible steps, in
     order, with any amount of internal work in between.  The search runs
-    on a reduced move table, whose ample moves keep every visible
-    behaviour."""
+    on the move table, whose ample moves keep every visible sequence."""
     want = [s.key() for s in seq if s.visible]
     done = not want
     table = _MoveTable(pc)

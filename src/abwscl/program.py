@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import syntax as ast
-from .errors import ArityMismatch, EvalTypeError, UnknownMethod, UnknownName
+from .errors import ArityMismatch, EvalTypeError, ParseError, UnknownMethod, UnknownName
 from .parser import parse_program
 from .terms import (
     Address,
@@ -87,9 +87,20 @@ class Program:
 
     @classmethod
     def from_files(cls, paths: Iterable) -> "Program":
+        """Every file's definitions, in order.  A file that cannot be
+        decoded as UTF-8 or parsed raises ParseError naming it."""
         defs: List[ast.BehaviorDefinition] = []
         for p in paths:
-            defs.extend(parse_program(Path(p).read_text(encoding="utf-8")))
+            try:
+                defs.extend(parse_program(Path(p).read_text(encoding="utf-8")))
+            except ParseError as e:
+                raise ParseError(e.message, e.line, e.col, p) from None
+            except UnicodeDecodeError as e:
+                # the whole file's bytes: read_text decodes them at once
+                data, at = e.object, e.start
+                line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+                message = f"cannot decode byte 0x{data[at]:02x} as {e.encoding}: {e.reason}"
+                raise ParseError(message, line, col, p) from None
         return cls(defs)
 
     def definition(self, name: str) -> ast.BehaviorDefinition:

@@ -1,6 +1,7 @@
 import pytest
 
-from abwscl import Program, corpus_path
+from abwscl import Program, corpus_path, engine
+from abwscl.terms import AddressAllocator, AppMessage
 
 SEND_PB_BLOCK = """    sendPBFromStore() if true {
         price := 30.0
@@ -169,3 +170,50 @@ WSC MiniWSC role caller, role callee {
 @pytest.fixture(scope="session")
 def mini_program() -> Program:
     return Program.parse(MINI_SOURCE)
+
+
+# -- the unreduced enumeration that runs are checked against -------------------
+
+
+def _allocator(config):
+    """The oracle's own allocator for a start configuration: past every
+    counter its actors already use.  The oracle threads it along each
+    path rather than calling `engine.allocator_for`, so it shares no
+    derivation with the search it checks."""
+    return AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
+
+
+def _enumerate_boundary_traces(program, config, depth, feeds):
+    """Level-by-level unfolding with no state sharing at all; each path
+    threads its own allocator, as a run does."""
+    configs = {config.canon()}
+    labels = {()}
+    level = [(config, tuple(feeds), (), _allocator(config))]
+    for _ in range(depth):
+        grown = []
+        for cfg, fds, seq, alloc in level:
+            for inst in engine.enabled_rules(program, cfg, feeds=fds):
+                alloc2 = alloc.clone()
+                cfg2, _produced, artifacts = engine.apply_instance(
+                    program, cfg, inst, alloc2
+                )
+                fds2, seq2 = fds, seq
+                if inst.rule_id == "In":
+                    kept = list(fds)
+                    for i, f in enumerate(kept):
+                        if f.canon() == inst.payload:
+                            del kept[i]
+                            break
+                    fds2 = tuple(kept)
+                if inst.rule_id in ("Out", "In"):
+                    for art in artifacts:
+                        if isinstance(art, AppMessage):
+                            seq2 = seq2 + (
+                                ("out" if inst.rule_id == "Out" else "in",
+                                 art.method or "?"),
+                            )
+                configs.add(cfg2.canon())
+                labels.add(seq2)
+                grown.append((cfg2, fds2, seq2, alloc2))
+        level = grown
+    return frozenset(configs), frozenset(labels)

@@ -28,6 +28,8 @@ from abwscl.terms import (
     rename,
 )
 
+from conftest import _allocator
+
 # the benchmark's reference digests, read from its own module
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -97,14 +99,6 @@ def test_corpus_pairs_compose_within_budget(program):
 # peer call is not re-injected while an identical one is still pending.
 
 ORACLE_CAP = 2_000_000
-
-
-def _allocator(config):
-    """The oracle's own allocator for a start configuration: past every
-    counter its actors already use.  The oracle threads it along each
-    path rather than calling `engine.allocator_for`, so it shares no
-    derivation with the search it checks."""
-    return AddressAllocator().advance_past(a.addr.id for a in config.top.actors)
 
 
 def _side_moves(pc, config, env_left, alloc, *, peer_free, memo):
@@ -334,69 +328,6 @@ WS GateWS {
     }
 }
 """
-
-
-def _enumerate_boundary_traces(program, config, depth, feeds):
-    """Level-by-level unfolding with no state sharing at all; each path
-    threads its own allocator, as a run does."""
-    configs = {config.canon()}
-    labels = {()}
-    level = [(config, tuple(feeds), (), _allocator(config))]
-    for _ in range(depth):
-        grown = []
-        for cfg, fds, seq, alloc in level:
-            for inst in engine.enabled_rules(program, cfg, feeds=fds):
-                alloc2 = alloc.clone()
-                cfg2, _produced, artifacts = engine.apply_instance(
-                    program, cfg, inst, alloc2
-                )
-                fds2, seq2 = fds, seq
-                if inst.rule_id == "In":
-                    kept = list(fds)
-                    for i, f in enumerate(kept):
-                        if f.canon() == inst.payload:
-                            del kept[i]
-                            break
-                    fds2 = tuple(kept)
-                if inst.rule_id in ("Out", "In"):
-                    for art in artifacts:
-                        if isinstance(art, AppMessage):
-                            seq2 = seq2 + (
-                                ("out" if inst.rule_id == "Out" else "in",
-                                 art.method or "?"),
-                            )
-                configs.add(cfg2.canon())
-                labels.add(seq2)
-                grown.append((cfg2, fds2, seq2, alloc2))
-        level = grown
-    return frozenset(configs), frozenset(labels)
-
-
-def test_exploration_matches_naive_enumeration(mini_program):
-    pair = Program.parse(PAIR_SOURCE)
-    side_a = interaction.wso_side(mini_program, "MiniWSO", ws_name="MiniWS")
-    side_b = interaction.ws_side(mini_program, "MiniWS", facing="wso")
-    side_c = interaction.wso_side(pair, "PairWSO", ws_name="GateWS")
-    fixtures = [
-        (mini_program, side_a.config, side_a.peer_feeds),
-        (mini_program, side_b.config, side_b.peer_feeds + side_b.env_feeds),
-        # every feed twice: copies of one feed text
-        (mini_program, side_b.config, (side_b.peer_feeds + side_b.env_feeds) * 2),
-        (pair, side_c.config, side_c.peer_feeds),
-    ]
-    for program, config, feeds in fixtures:
-        got_configs, got_labels = engine.explore(program, config, 8, feeds=feeds)
-        want_configs, want_labels = _enumerate_boundary_traces(
-            program, config, 8, feeds
-        )
-        assert got_configs == want_configs
-        assert got_labels == want_labels
-        assert len(got_labels) > 1
-    # a closed choreography, whose paths create actors at several steps
-    whole = initial_configuration(mini_program, "MiniWSC", AddressAllocator())
-    assert engine.explore(mini_program, whole, 8) == _enumerate_boundary_traces(
-        mini_program, whole, 8, ()
-    )
 
 
 def test_dual_is_an_involution_on_generated_sequences():

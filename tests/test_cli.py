@@ -87,27 +87,39 @@ COMMANDS = {
 }
 
 
-def _refused(corpus, command, tmp_path):
-    args = COMMANDS[command] + (corpus,)
+def _refused(files, command, tmp_path):
+    """Standard error of a command refusing the corpus `files`."""
+    args = COMMANDS[command] + tuple(files)
     if command == "export":
         args += ("--out", tmp_path)
     code, out, err = run_cli(*args)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("command", ["check", "export"])
 def test_unparseable_corpus_for_check_and_export(tmp_path, command):
     bad = tmp_path / "bad.abwscl"
     bad.write_text("WSO Broken {", encoding="utf-8")
-    _refused(bad, command, tmp_path)
+    _refused((bad,), command, tmp_path)
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_undecodable_corpus(tmp_path, command):
     bad = tmp_path / "bad.abwscl"
     bad.write_bytes(b"AA A {\xff }")
-    _refused(bad, command, tmp_path)
+    _refused((bad,), command, tmp_path)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_load_errors_name_their_file(mini_file, tmp_path, command):
+    """With two files, a parse or decode error names the file at fault."""
+    broken = tmp_path / "broken.abwscl"
+    for content, where in ((b"WSO Broken {", ":1:13: "), (b"AA A {\n  x\xff }", ":2:4: ")):
+        broken.write_bytes(content)
+        err = _refused((mini_file, broken), command, tmp_path)
+        assert err.startswith(f"error: {broken}{where}"), err
 
 
 def test_invalid_corpus(tmp_path, aa_create_mutant_text):

