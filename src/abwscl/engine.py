@@ -1,18 +1,20 @@
 """Rule enumeration, the fair scheduler, runs, and the one search kernel
 every side search in `interaction` runs on.
 
-A run repeatedly asks enabled_rules for every instance whose side
-conditions hold, lets the scheduler pick one, and applies it.  Whether
-a rule applies is rules.py's answer alone: enabled_rules offers what
-rules.site_rule, signal_rule, message_rule and feed_rule accept, and
-apply_instance reads what a step produced from the step the rule's
-Fragment.derive call recorded.  All state lives in the immutable
-Configuration; the engine itself only carries the allocator and the
-not-yet-consumed feed messages.
+A run keeps the instances its configuration enables, lets the scheduler
+pick one, and applies it; after each step it re-asks only the terms the
+step touched, read from the step the rule's Fragment.derive call
+recorded, and a step that creates an actor or changes the restriction
+is answered by one enabled_rules call.  Whether a rule applies is
+rules.py's answer alone: enabled_rules and the run offer what
+rules.site_rule, signal_rule, message_rule and feed_rule accept.  All
+state lives in the immutable Configuration; the engine itself only
+carries the allocator and the not-yet-consumed feed messages.
 """
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,12 +24,16 @@ from . import rules
 from .errors import AbwsclError, SilentDivergence
 from .program import Program
 from .terms import (
+    _CANON,
+    ActorTerm,
     Address,
     AddressAllocator,
     AppMessage,
     Configuration,
+    Event,
     EventMessage,
     Fragment,
+    Record,
     _without,
 )
 
@@ -116,32 +122,29 @@ class Trace:
 # -- enumeration --------------------------------------------------------------
 
 
-def _section_rules(program: Program, top: Fragment) -> List[RuleInstance]:
-    """What the actors and signals enable, as rules.site_rule and
-    rules.signal_rule decide: Request or a create rule at a running actor,
-    SendIn, SendOut or Compute at a signal.  These read the actors, the
-    signals and the program, and nothing else."""
-    insts: List[RuleInstance] = []
-    for a in top.actors:
-        rid = rules.site_rule(program, a)
-        if rid.__class__ is str:
-            queue = a.state.queue
-            payload = queue[0].canon() if queue else "ready"
-            insts.append(RuleInstance(rid, a.addr.id, payload, a.addr))
-    for ev in top.events:
-        rid = rules.signal_rule(top, ev)
-        if rid.__class__ is str:
-            insts.append(RuleInstance(rid, ev.dest.id, ev.canon(), ev))
-    return insts
+def _site_rules(program: Program, actor: ActorTerm) -> Tuple[RuleInstance, ...]:
+    """What one actor enables, as rules.site_rule decides: Request or a
+    create rule while it runs."""
+    rid = rules.site_rule(program, actor)
+    if rid.__class__ is str:
+        queue = actor.state.queue
+        payload = queue[0].canon() if queue else "ready"
+        return (RuleInstance(rid, actor.addr.id, payload, actor.addr),)
+    return ()
 
 
-def _message_rules(
-    program: Program, top: Fragment, am: AppMessage
-) -> Tuple[RuleInstance, ...]:
+def _signal_rules(top: Fragment, ev: EventMessage) -> Tuple[RuleInstance, ...]:
+    """What one signal enables, as rules.signal_rule decides: SendIn,
+    SendOut or Compute."""
+    rid = rules.signal_rule(top, ev)
+    if rid.__class__ is str:
+        return (RuleInstance(rid, ev.dest.id, ev.canon(), ev),)
+    return ()
+
+
+def _message_rules(program: Program, top: Fragment, am: AppMessage) -> Tuple[RuleInstance, ...]:
     """What one pending message enables, as rules.message_rule decides:
-    SetPartner, ReadyDeliver or Out, or nothing while it is refused.
-    Reads the message, the members, the destination actor, its ready
-    signal and its guard."""
+    SetPartner, ReadyDeliver or Out, or nothing while it is refused."""
     rid = rules.message_rule(program, top, am)
     if rid.__class__ is str:
         return (RuleInstance(rid, am.dest.id, am.canon(), am),)
@@ -158,13 +161,97 @@ def enabled_rules(
     pending message share one instance: whichever copy a step consumes,
     it reaches the same configuration."""
     top = config.top
-    insts = _section_rules(program, top)
+    insts = [i for a in top.actors for i in _site_rules(program, a)]
+    insts += [i for ev in top.events for i in _signal_rules(top, ev)]
     for am in {am.canon(): am for am in top.apps}.values():
         insts += _message_rules(program, top, am)
     for f in feeds:
         if rules.feed_rule(top, f) == "In":
             insts.append(RuleInstance("In", f.dest.id, f.canon(), f))
     return tuple(sorted(insts, key=_ORDER))
+
+
+_READY, _TRANSMIT = Event.READY, Event.TRANSMIT
+
+
+class _Enabled:
+    """The instances one configuration of a run enables, by the term that
+    enables them: an actor by its address, a pending message by (class,
+    text), one instance per copy of a signal; the feeds' In instances
+    apart, since a feed may read as a pending message.
+
+    What each decision reads (README, "How the composability check
+    works"): site_rule reads the actor; signal_rule reads nothing for a
+    ready signal, the actors at src and dest for a transmit, and the
+    actor at dest for a notification; message_rule reads the actor at
+    dest, whether the members include it, its ready signal and its guard;
+    feed_rule reads the receptionists.  So a step that creates no actor
+    and keeps the restriction is answered by re-asking what it touched."""
+
+    __slots__ = ("program", "terms", "feeds", "restriction")
+
+    def __init__(self, program: Program, config: Configuration, feeds: Sequence[AppMessage]):
+        self.program, self.restriction = program, config.top.restriction
+        self.terms, self.feeds = {}, []
+        for inst in enabled_rules(program, config, feeds):
+            s = inst.subject
+            if inst.rule_id == "In":
+                self.feeds.append(inst)
+            else:
+                k = s if s.__class__ is Address else (s.__class__, s._canon)
+                self.terms[k] = self.terms.get(k, ()) + (inst,)
+
+    def update(self, inst: RuleInstance, top: Fragment) -> bool:
+        """Re-ask, after the step of `inst` left `top`, the actor it
+        replaced, the messages it consumed or produced, and the messages
+        that read the replaced actor or the actor whose ready signal it
+        consumed (a ready signal comes only with its actor, replaced by
+        Request or born).  False when only enabled_rules can answer."""
+        actor, born, gone, new, _ = top._step
+        if born or top.restriction != self.restriction:
+            return False
+        if inst.rule_id == "In":
+            self.feeds.remove(inst)
+        terms, program, readers, touched = self.terms, self.program, set(), {}
+        if actor is not None:
+            touched[actor.addr] = _site_rules(program, actor)
+            readers.add(actor.addr.id)
+        for m in gone + new:
+            touched[m.__class__, m._canon] = None
+        for m in gone:
+            if getattr(m, "event", None) is _READY:
+                readers.add(m.src.id)
+        if readers:
+            for ev in top.events:
+                e = ev.event
+                if e is _READY:
+                    continue
+                if e is _TRANSMIT:
+                    dest = ev.value.get("dest") if ev.value.__class__ is Record else None
+                    if ev.src.id not in readers and getattr(dest, "id", None) not in readers:
+                        continue
+                elif ev.dest.id not in readers:
+                    continue
+                touched[EventMessage, ev._canon] = None
+            for am in top.apps:
+                if am.dest.id in readers:
+                    touched[AppMessage, am._canon] = None
+        for k, found in touched.items():
+            if found is None:
+                seq = top.events if k[0] is EventMessage else top.apps
+                lo = bisect_left(seq, k[1], key=_CANON)
+                copies = bisect_right(seq, k[1], lo, key=_CANON) - lo
+                if not copies:
+                    found = ()
+                elif k[0] is EventMessage:
+                    found = _signal_rules(top, seq[lo]) * copies
+                else:
+                    found = _message_rules(program, top, seq[lo])
+            if found:
+                terms[k] = found
+            else:
+                terms.pop(k, None)
+        return True
 
 
 # -- application ---------------------------------------------------------------
@@ -248,21 +335,32 @@ class FairRoundRobin:
 
     Age is the step at which an instance became enabled and stayed so; an
     instance that momentarily disables starts over.  This gives observation
-    fairness: nothing stays enabled forever without being applied.
+    fairness: nothing stays enabled forever without being applied.  Each
+    key's tie-break is hashed once per scheduler, when it first ties.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._ages: Dict[Tuple[str, str, str], int] = {}
+        self._ties: Dict[Tuple[str, str, str], str] = {}
 
     def choose(self, instances: Sequence[RuleInstance], step: int) -> RuleInstance:
-        keys = {i.key for i in instances}
-        self._ages = {k: s for k, s in self._ages.items() if k in keys}
-        for k in keys:
-            self._ages.setdefault(k, step)
-        return min(
-            instances, key=lambda i: (self._ages[i.key], _tie_break(self.seed, i.key))
-        )
+        old, ages, oldest, first = self._ages, {}, [], None
+        for i in instances:
+            k = i.key
+            age = ages[k] = old.get(k, step)
+            if first is None or age < first:
+                oldest, first = [i], age
+            elif age == first:
+                oldest.append(i)
+        self._ages = ages
+        return oldest[0] if len(oldest) == 1 else min(oldest, key=self._tie)
+
+    def _tie(self, inst: RuleInstance) -> str:
+        tie = self._ties.get(inst.key)
+        if tie is None:
+            tie = self._ties[inst.key] = _tie_break(self.seed, inst.key)
+        return tie
 
 
 # -- search --------------------------------------------------------------------
@@ -316,7 +414,9 @@ def run(
     alloc: Optional[AddressAllocator] = None,
 ) -> Trace:
     """Drive a configuration under `FairRoundRobin(seed)` until
-    quiescence or the step limit.
+    quiescence or the step limit.  The instances offered at each step
+    are enabled_rules' for that configuration and the unconsumed feeds,
+    kept by `_Enabled` across the steps that leave them be.
 
     A create step mints from `alloc`, by default `allocator_for(config)`,
     which equals the allocator that minted the configuration's addresses.
@@ -327,18 +427,20 @@ def run(
     remaining = tuple(feeds)
     steps: List[StepRecord] = []
     cur = config
-    quiescent = False
-    while len(steps) < max_steps:
-        insts = enabled_rules(program, cur, feeds=remaining)
-        if not insts:
-            quiescent = True
+    enabled = None
+    while True:
+        if enabled is None:
+            enabled = _Enabled(program, cur, remaining)
+        insts = [i for found in enabled.terms.values() for i in found] + enabled.feeds
+        if not insts or len(steps) == max_steps:
+            quiescent = not insts
             break
         inst = sched.choose(insts, len(steps))
         cur, produced, artifacts = apply_instance(program, cur, inst, alloc)
         if inst.rule_id == "In":
             remaining = _without(remaining, inst.subject)
         steps.append(StepRecord(inst, produced, artifacts, cur))
-    if not quiescent:
-        quiescent = not enabled_rules(program, cur, feeds=remaining)
+        if not enabled.update(inst, cur.top):
+            enabled = None
     return Trace(initial=config, steps=tuple(steps), quiescent=quiescent)
 

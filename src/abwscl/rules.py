@@ -86,6 +86,7 @@ from .terms import (
     birth_signals,
     blocked,
     call_record,
+    copy_at,
     fragment_acquaintances,
     members,
     ready_signal,
@@ -213,7 +214,7 @@ def message_rule(program: Program, top: Fragment, am: AppMessage) -> Verdict:
     actor = top.actor(am.dest)
     if actor is None:
         return "Out"
-    if ready_signal(actor) not in top.events:
+    if copy_at(top.events, ready_signal(actor)) < 0:
         return NoPendingMessage
     method, args = am.method, am.args
     if method is None:
@@ -287,7 +288,7 @@ def step_compute(
     body, whose guard accepted the call at delivery.  A notification that
     is not pending is NoPendingMessage.
     """
-    if notification not in config.top.events:
+    if copy_at(config.top.events, notification) < 0:
         raise NoPendingMessage(f"notification {notification.canon()} is not pending")
     _require(signal_rule(config.top, notification), "Compute", notification, NotBlockedPair)
     actor = config.top.actor(notification.dest)
@@ -316,7 +317,7 @@ def aa_send_in(config: Configuration, em: EventMessage) -> Configuration:
     The handler (the owning WSO) turns the signal into an AppMessage for
     the sibling and completes the sender.
     """
-    if em not in config.top.events:
+    if copy_at(config.top.events, em) < 0:
         raise NoPendingMessage(f"not in fragment: {em.canon()}")
     _require(signal_rule(config.top, em), "SendIn", em, NotSameWSO)
     return _route(config, em)
@@ -327,7 +328,7 @@ def aa_send_out(config: Configuration, em: EventMessage) -> Configuration:
     toward its destination (local or boundary alike) and completes the
     sender.  Whether the message later leaves the fragment is [out]'s
     decision, keyed on membership."""
-    if em not in config.top.events:
+    if copy_at(config.top.events, em) < 0:
         raise NoPendingMessage(f"not in fragment: {em.canon()}")
     _require(signal_rule(config.top, em), "SendOut", em, TargetIsLocal)
     return _route(config, em)
@@ -344,7 +345,7 @@ def deliver_ready(program: Program, config: Configuration, am: AppMessage) -> Co
     A setPartner call also wires the partner link; re-setting the same
     partner is an idempotent confirmation.
     """
-    if am not in config.top.apps:
+    if copy_at(config.top.apps, am) < 0:
         raise NoPendingMessage(f"not in fragment: {am.canon()}")
     partnering = am.method == "setPartner"
     _require(
@@ -384,7 +385,7 @@ def eject(program: Program, config: Configuration, am: AppMessage) -> Configurat
     Member addresses exposed by the payload (or the sender stamp) become
     receptionists: the outside world now knows them.
     """
-    if am not in config.top.apps:
+    if copy_at(config.top.apps, am) < 0:
         raise NoPendingMessage(f"not in fragment: {am.canon()}")
     # any other answer, a refusal included, is about delivering it here
     if message_rule(program, config.top, am) != "Out":

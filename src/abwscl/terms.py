@@ -8,6 +8,7 @@ configuration has exactly one textual form.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -335,15 +336,23 @@ class AppMessage:
         return self._canon
 
 
-def _without(seq: tuple, item) -> tuple:
-    """`seq` of messages less its first copy of `item`; NoPendingMessage
-    if it has none.  Equal messages have equal texts, so a text that
-    differs settles the comparison."""
+def copy_at(seq: tuple, item) -> int:
+    """The index of the first copy of message `item` in `seq`, -1 if it
+    has none.  Equal messages have equal texts, so a text that differs
+    settles the comparison without the dataclass `==`."""
     text = item._canon
     for i, x in enumerate(seq):
         if x is item or (x._canon == text and x == item):
-            return seq[:i] + seq[i + 1:]
-    raise NoPendingMessage(f"not in fragment: {text}")
+            return i
+    return -1
+
+
+def _without(seq: tuple, item) -> tuple:
+    """`seq` of messages less its first copy of `item`, or NoPendingMessage."""
+    i = copy_at(seq, item)
+    if i < 0:
+        raise NoPendingMessage(f"not in fragment: {item._canon}")
+    return seq[:i] + seq[i + 1:]
 
 
 # sort keys for Fragment.make, read per member without a Python call
@@ -404,13 +413,14 @@ class Fragment:
                 events = _without(events, m)
             else:
                 apps = _without(apps, m)
-        if new:
-            new_events = [m for m in new if type(m) is EventMessage]
-            if new_events:
-                events = tuple(sorted(events + tuple(new_events), key=_CANON))
-            if len(new_events) < len(new):
-                new_apps = tuple([m for m in new if type(m) is not EventMessage])
-                apps = tuple(sorted(apps + new_apps, key=_CANON))
+        for m in new:
+            # after its equals, in order: what a stable sort of the sum gives
+            if type(m) is EventMessage:
+                k = bisect_right(events, m._canon, key=_CANON)
+                events = events[:k] + (m,) + events[k:]
+            else:
+                k = bisect_right(apps, m._canon, key=_CANON)
+                apps = apps[:k] + (m,) + apps[k:]
         if restriction != "keep":
             rest = None if restriction is None else frozenset(restriction)
         # the fields at once: a step builds this many fragments that the

@@ -1,8 +1,12 @@
-import pytest
+import random
 
-from abwscl import Program, interaction, run
+import pytest
+from hypothesis import given, strategies as st
+
+from abwscl import Program, engine, interaction, run
 from abwscl.engine import (
     FairRoundRobin,
+    RuleInstance,
     allocator_for,
     apply_instance,
     enabled_rules,
@@ -10,18 +14,24 @@ from abwscl.engine import (
 from abwscl.errors import NoPendingMessage
 from abwscl.program import initial_configuration, instantiate
 from abwscl.rules import boundary_in
+from abwscl.syntax import SendAct
 from abwscl.terms import (
     Address,
     AddressAllocator,
     AppMessage,
     Configuration,
     Event,
+    EventMessage,
     Fragment,
+    ProcessingState,
+    Record,
     call_record,
     ready_signal,
 )
 
 from conftest import MINI_SOURCE, _enumerate_boundary_traces
+from test_acceptance import PAIR_SOURCE
+from test_interaction import COUNT_SOURCE, PUBLISH_SOURCE
 
 GOLDEN_EXCHANGES = ["requestLB", "receiveLB", "sendSB", "receivePB", "payB"]
 
@@ -309,3 +319,129 @@ def test_a_delivered_call_is_not_asked_its_guard_again():
         assert [e for e in trace.final.top.events if e.event is Event.DELIVER] == []
         driver = next(a for a in trace.final.top.actors if a.behavior == "MiniDriverWS")
         assert driver.links.partner_ws.id == "MiniWSC#0"
+
+
+def offered_along_a_run(monkeypatch, program, config, feeds=(), **kw):
+    """Run, and check at every step that what the run offers its scheduler
+    is what a fresh enabled_rules offers for that step's configuration
+    and unconsumed feeds; the run's own enumeration is incremental.
+    Returns the trace and the sorted offers, one per step."""
+    offers = []
+    choose = FairRoundRobin.choose
+
+    def recording(sched, instances, step):
+        offers.append(tuple(sorted(instances, key=lambda i: i.key)))
+        return choose(sched, instances, step)
+
+    with monkeypatch.context() as m:
+        m.setattr(FairRoundRobin, "choose", recording)
+        trace = run(program, config, feeds=feeds, **kw)
+    assert len(offers) == len(trace.steps)
+    cur, remaining = trace.initial, list(feeds)
+    for offered, step in zip(offers, trace.steps):
+        assert offered == enabled_rules(program, cur, feeds=remaining), step.instance
+        if step.instance.rule_id == "In":
+            remaining.remove(step.instance.subject)
+        cur = step.post
+    assert trace.quiescent == (not enabled_rules(program, cur, feeds=remaining))
+    return trace, offers
+
+
+def applied(trace):
+    return [s.instance.rule_id for s in trace.steps]
+
+
+def test_a_run_offers_what_enabled_rules_offers(program, mini_program, monkeypatch):
+    rng = random.Random(27)
+    for prog, name in ((program, "BuyingBookWSC"), (mini_program, "MiniWSC")):
+        for _ in range(8):
+            alloc = AddressAllocator()
+            config = initial_configuration(prog, name, alloc)
+            offered_along_a_run(monkeypatch, prog, config, alloc=alloc,
+                                seed=rng.randrange(1000), max_steps=rng.randrange(1, 250))
+    # a side: In steps shrink the feeds, and Out steps leave it
+    side = interaction.wso_side(program, "UserAgentWSO", ws_name="UserAgentWS")
+    for seed in range(4):
+        trace, _ = offered_along_a_run(monkeypatch, program, side.config,
+                                       feeds=side.peer_feeds, seed=seed)
+        assert {"In", "Out"} <= set(applied(trace))
+    # one activity created per kick, two of the feeds equal
+    pair = interaction.wso_side(Program.parse(PAIR_SOURCE), "PairWSO", ws_name="GateWS")
+    for seed in range(4):
+        trace, _ = offered_along_a_run(monkeypatch, pair.program, pair.config,
+                                       feeds=pair.peer_feeds * 2, seed=seed)
+        assert applied(trace).count("CreateAA") == 2
+    # a stray complete waits at an actor about to send: Compute takes it
+    # once the actor blocks on its transmit, a step that replaces the
+    # actor and leaves the stray untouched
+    trace = golden(program)
+    for step in trace.steps:
+        top = step.post.top
+        sender = next((a for a in top.actors if a.p is ProcessingState.RUNNING
+                       and a.state.queue and isinstance(a.state.queue[0], SendAct)), None)
+        if sender is not None:
+            break
+    stray = EventMessage(sender.addr, sender.tau, Event.COMPLETE, Record.of())
+    config = Configuration(Fragment.make(top.actors, top.events + (stray,), top.apps))
+    trace, offers = offered_along_a_run(monkeypatch, program, config, max_steps=60)
+    request = next(i for i, s in enumerate(trace.steps)
+                   if s.instance.rule_id == "Request" and s.instance.site == sender.addr.id)
+    assert any(i.rule_id == "Compute" and i.subject == stray for i in offers[request + 1])
+    # an Out that publishes the helper's address lets a feed to it enter
+    publish = interaction.wso_side(Program.parse(PUBLISH_SOURCE), "PublishWSO")
+    ping = AppMessage(publish.config.top.actors[0].addr, call_record("ping", ()))
+    first, _ = offered_along_a_run(monkeypatch, publish.program, publish.config, feeds=(ping,))
+    helper = next(a.addr for a in first.final.top.actors if a.behavior == "HelperAA")
+    assert helper in first.final.top.restriction
+    trace, _ = offered_along_a_run(monkeypatch, publish.program, publish.config,
+                                   feeds=(ping, AppMessage(helper, call_record("ping", ()))))
+    assert applied(trace).count("In") == 2
+    # `fin() if n == 2` waits at a ready receiver until its second tick lands
+    count = interaction.wso_side(Program.parse(COUNT_SOURCE), "CountWSO")
+    for seed in range(8):
+        trace, _ = offered_along_a_run(monkeypatch, count.program, count.config, seed=seed)
+        assert trace.quiescent and [a.method for a in trace.ws_exchanges()] == []
+        assert ("out", "done") in trace.boundary_labels()
+
+
+class ReferenceRoundRobin:
+    """FairRoundRobin as a plain rule: the minimum of (age, tie-break)."""
+
+    def __init__(self, seed):
+        self.seed, self.ages = seed, {}
+
+    def choose(self, instances, step):
+        keys = {i.key for i in instances}
+        self.ages = {k: s for k, s in self.ages.items() if k in keys}
+        for k in keys:
+            self.ages.setdefault(k, step)
+        return min(instances,
+                   key=lambda i: (self.ages[i.key], engine._tie_break(self.seed, i.key)))
+
+
+_KEYS = st.tuples(st.sampled_from(["Compute", "Out", "Request"]),
+                  st.sampled_from(["a#0", "b#1"]), st.sampled_from(["ready", "x", "y"]))
+
+
+@given(seed=st.integers(0, 3),
+       rounds=st.lists(st.tuples(st.lists(_KEYS, min_size=1, max_size=6), st.integers(0, 30)),
+                       min_size=1, max_size=12))
+def test_the_scheduler_picks_the_oldest_then_the_least_tie_break(seed, rounds):
+    sched, reference = FairRoundRobin(seed), ReferenceRoundRobin(seed)
+    for keys, step in rounds:
+        insts = [RuleInstance(*k, Address(k[1])) for k in keys]
+        assert sched.choose(insts, step) is reference.choose(insts, step)
+
+
+def test_a_scheduler_hashes_each_key_once(program, monkeypatch):
+    hashed = []
+    tie_break = engine._tie_break
+
+    def counted(seed, key):
+        hashed.append(key)
+        return tie_break(seed, key)
+
+    monkeypatch.setattr(engine, "_tie_break", counted)
+    trace = golden(program, seed=5)
+    assert trace.quiescent and hashed
+    assert len(hashed) == len(set(hashed))
